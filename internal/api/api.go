@@ -28,6 +28,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -316,9 +317,21 @@ type BatchResponse struct {
 // unbounded tokens and balloon decode memory. Over-cap bodies get the
 // structured 413 every endpoint shares; ok = false means the response has
 // been written.
+//
+// A declared Content-Length within the cap sizes the buffer up front, so a
+// large body is read in place instead of through io.ReadAll's doubling
+// copies; the declaration is only a hint, and a body that turns out longer
+// is still read up to the cap.
 func (s *Server) readPostBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	max := s.maxBody()
-	body, err := io.ReadAll(io.LimitReader(r.Body, int64(max)+1))
+	size := 0
+	if r.ContentLength > 0 && r.ContentLength <= int64(max) {
+		size = int(r.ContentLength)
+	}
+	// MinRead spare capacity: the final read that finds EOF needs no growth.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, int64(max)+1))
+	body = buf.Bytes()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return nil, false

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,10 +31,10 @@ import (
 //     canonical-key cache /v1/measure uses, so a batch warm-up serves later
 //     GET /v1/measure traffic and vice versa.
 //
-// Responses are assembled from the per-profile rendered fragments
-// (appendMeasureResponse bytes, the same bodies the measure cache stores),
-// byte-identical to json.Encoder on BatchResponse — the golden equivalence
-// tests pin both identities.
+// Responses are assembled from the per-profile rendered fragments (measure
+// bodies, the same bytes the measure cache stores, with canonically spelled
+// profiles echoed by copy), byte-identical to json.Encoder on BatchResponse
+// — the golden equivalence tests pin both identities.
 
 // DefaultMaxBody caps every POST request body when the Server does not
 // override it: 16 MiB, sized so a full MaxBatchProfiles batch of moderate
@@ -122,20 +123,20 @@ func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
 			}
 		}
 	}
-	m, profiles, status, msg := s.decodeBatchRequest(body)
+	req, status, msg := s.decodeBatchRequest(body)
 	if status != 0 {
 		return status, nil, msg
 	}
-	s.noteBatch(len(profiles))
+	s.noteBatch(len(req.profiles))
 	if !front {
-		return 200, s.renderBatchBuffered(m, profiles), ""
+		return 200, s.renderBatchBuffered(req), ""
 	}
 	// Errors were rejected above, before the cache layer — the fill can only
 	// publish valid bodies, and a herd of identical misses still evaluates
 	// once (each waiter decoded for itself, which it needed anyway to learn
 	// whether the response should stream).
 	resp, _, coalesced, err := s.batchRawCache.fillStrMeta(h, key, func() ([]byte, int64, error) {
-		return s.renderBatchBuffered(m, profiles), int64(len(profiles)), nil
+		return s.renderBatchBuffered(req), int64(len(req.profiles)), nil
 	})
 	if err != nil {
 		return 500, nil, err.Error()
@@ -206,50 +207,227 @@ func batchCountFromBody(b []byte) (int, bool) {
 	return n, true
 }
 
+// decodedBatch is one validated POST /v1/batch request. echoes[i], when
+// non-nil, is the text between profiles[i]'s brackets exactly as the body
+// spelled it, already the canonical echo (see scanRho), so renderers copy
+// it instead of formatting every ρ. It is a view of the request body:
+// renderers copy it into fresh buffers, never retain it.
+type decodedBatch struct {
+	m        model.Params
+	profiles []profile.Profile
+	echoes   [][]byte
+}
+
 // decodeBatchRequest parses and validates one POST /v1/batch body. A zero
 // status means success; otherwise status/msg describe the rejection. It is
 // shared by the buffered and streaming paths, so validation happens exactly
 // once per request, before any cache admission or byte is written.
 //
-// The profiles array is decoded by profilesField's hand parser over the
-// value's bytes in place, with one reusable ρ scratch buffer, so decode-side
-// peak memory is the validated profiles plus O(largest single profile) —
-// json.Unmarshal into [][]float64 would hold a second full copy (plus
-// append-growth garbage) live at once, which on a MaxBatchProfiles batch
-// dwarfs everything the streaming render path saves. Oversized batches are
-// rejected as soon as the count crosses MaxBatchProfiles, before the
-// remaining profiles are decoded at all.
-func (s *Server) decodeBatchRequest(body []byte) (m model.Params, profiles []profile.Profile, status int, msg string) {
-	m = s.Defaults
+// The common shapes take scanBatchRequest, one strict pass over the bytes.
+// Whatever it does not accept — other shapes and every rejection — re-runs
+// decodeBatchReference, which stays the reference decoder and the source of
+// every error message, so statuses and error bodies do not depend on which
+// decoder ran.
+func (s *Server) decodeBatchRequest(body []byte) (decodedBatch, int, string) {
+	if req, ok := s.scanBatchRequest(body); ok {
+		return req, 0, ""
+	}
+	return s.decodeBatchReference(body)
+}
+
+// decodeBatchReference is the json.Unmarshal decoder. The profiles array is
+// decoded by profilesField's hand parser over the value's bytes in place,
+// with one reusable ρ scratch buffer, so decode-side peak memory is the
+// validated profiles plus O(largest single profile) — json.Unmarshal into
+// [][]float64 would hold a second full copy (plus append-growth garbage)
+// live at once, which on a MaxBatchProfiles batch dwarfs everything the
+// streaming render path saves. Oversized batches are rejected as soon as
+// the count crosses MaxBatchProfiles, before the remaining profiles are
+// decoded at all. It records no spellings: its profiles take the formatter.
+func (s *Server) decodeBatchReference(body []byte) (decodedBatch, int, string) {
+	out := decodedBatch{m: s.Defaults}
 	var req struct {
 		Profiles profilesField `json:"profiles"`
 		Params   *model.Params `json:"params"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		if req.Profiles.status != 0 {
-			return m, nil, req.Profiles.status, req.Profiles.msg
+			return out, req.Profiles.status, req.Profiles.msg
 		}
-		return m, nil, 400, "invalid JSON: " + err.Error()
+		return out, 400, "invalid JSON: " + err.Error()
 	}
 	if len(req.Profiles.profiles) == 0 {
-		return m, nil, 400, "profiles must be non-empty"
+		return out, 400, "profiles must be non-empty"
 	}
 	if req.Params != nil {
-		m = *req.Params
+		out.m = *req.Params
 	}
-	if err := m.Validate(); err != nil {
-		return m, nil, 400, err.Error()
+	if err := out.m.Validate(); err != nil {
+		return out, 400, err.Error()
 	}
-	return m, req.Profiles.profiles, 0, ""
+	out.profiles = req.Profiles.profiles
+	out.echoes = make([][]byte, len(out.profiles))
+	return out, 0, ""
 }
 
-// profilesField decodes the "profiles" key of a batch request. Its
-// UnmarshalJSON receives the array's bytes as a subslice of the request body
-// (encoding/json does not copy the value for a custom unmarshaler) and
-// parses them directly — faster than reflection-driven [][]float64 decoding
-// and without its full second copy of every ρ. A rejection is carried in
-// status/msg (413 over-limit, 400 shape/validation) alongside the returned
-// error, so decodeBatchRequest can answer with the precise status.
+// scanBatchRequest is the one-pass decoder for `{"profiles":[...]}` and
+// `{"profiles":[...],"params":{...}}` in either key order, with RFC 8259
+// whitespace anywhere between tokens. Every ρ is syntax-checked, converted
+// (scanRho) and range-checked in the same loop, and each profile array is
+// tested for being canonical text, which renderers then copy. The params
+// object's span goes through json.Unmarshal into model.Params, as in the
+// reference. ok = false is not a verdict: the caller re-runs the reference
+// decoder, so the scanner only ever accepts, and it declines anything that
+// could decode differently there — unknown, escaped, case-variant or
+// duplicate keys, "params": null, and every rejection.
+func (s *Server) scanBatchRequest(body []byte) (req decodedBatch, ok bool) {
+	i := skipJSONSpace(body, 0)
+	if i >= len(body) || body[i] != '{' {
+		return req, false
+	}
+	var params []byte
+	for {
+		i = skipJSONSpace(body, i+1) // past '{' or ','
+		var key string
+		switch {
+		case bytes.HasPrefix(body[i:], []byte(`"profiles"`)):
+			key = "profiles"
+		case bytes.HasPrefix(body[i:], []byte(`"params"`)):
+			key = "params"
+		default:
+			return req, false
+		}
+		i = skipJSONSpace(body, i+len(key)+2)
+		if i >= len(body) || body[i] != ':' {
+			return req, false
+		}
+		i = skipJSONSpace(body, i+1)
+		if key == "profiles" {
+			if req.profiles != nil {
+				return req, false
+			}
+			if i, ok = scanProfiles(body, i, &req); !ok {
+				return req, false
+			}
+		} else {
+			if params != nil {
+				return req, false
+			}
+			end := skipJSONObject(body, i)
+			if end < 0 {
+				return req, false
+			}
+			params, i = body[i:end], end
+		}
+		i = skipJSONSpace(body, i)
+		if i < len(body) && body[i] == ',' {
+			continue
+		}
+		if i < len(body) && body[i] == '}' {
+			break
+		}
+		return req, false
+	}
+	if req.profiles == nil || skipJSONSpace(body, i+1) != len(body) {
+		return req, false
+	}
+	req.m = s.Defaults
+	if params != nil {
+		var p model.Params
+		if json.Unmarshal(params, &p) != nil {
+			return req, false
+		}
+		req.m = p
+	}
+	return req, req.m.Validate() == nil
+}
+
+// scanProfiles decodes the non-empty array of non-empty ρ arrays starting at
+// data[i] into req, returning the index past it. A profile's echo is
+// recorded when its array holds no whitespace and every token is canonical.
+func scanProfiles(data []byte, i int, req *decodedBatch) (int, bool) {
+	if i >= len(data) || data[i] != '[' {
+		return i, false
+	}
+	i = skipJSONSpace(data, i+1)
+	var scratch []float64
+	for {
+		if len(req.profiles) >= MaxBatchProfiles || i >= len(data) || data[i] != '[' {
+			return i, false
+		}
+		open := i
+		canon := true
+		scratch = scratch[:0]
+		for { // i sits on the '[' or the ',' before the next ρ
+			j := skipJSONSpace(data, i+1)
+			canon = canon && j == i+1
+			v, end, tokCanon, ok := scanRho(data, j)
+			if !ok || !(v > 0 && v <= 1) { // profile.New's admission check
+				return end, false
+			}
+			scratch = append(scratch, v)
+			i = skipJSONSpace(data, end)
+			canon = canon && tokCanon && i == end
+			if i < len(data) && data[i] == ']' {
+				break
+			}
+			if i >= len(data) || data[i] != ',' {
+				return i, false
+			}
+		}
+		i++ // past ']'
+		req.profiles = append(req.profiles, append(profile.Profile(nil), scratch...))
+		var echo []byte
+		if canon {
+			echo = data[open+1 : i-1]
+		}
+		req.echoes = append(req.echoes, echo)
+		i = skipJSONSpace(data, i)
+		if i < len(data) && data[i] == ']' {
+			return i + 1, true
+		}
+		if i >= len(data) || data[i] != ',' {
+			return i, false
+		}
+		i = skipJSONSpace(data, i+1)
+	}
+}
+
+// skipJSONObject returns the index just past the object starting at
+// data[i], matching brackets outside strings, or -1. It only finds the
+// span's end; json.Unmarshal checks the span's syntax.
+func skipJSONObject(data []byte, i int) int {
+	if i >= len(data) || data[i] != '{' {
+		return -1
+	}
+	depth := 0
+	for ; i < len(data); i++ {
+		switch data[i] {
+		case '"':
+			for i++; i < len(data) && data[i] != '"'; i++ {
+				if data[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return -1
+}
+
+// profilesField decodes the "profiles" key of a batch request for the
+// reference decoder. Its UnmarshalJSON receives the array's bytes as a
+// subslice of the request body (encoding/json does not copy the value for a
+// custom unmarshaler) and parses them directly — faster than
+// reflection-driven [][]float64 decoding and without its full second copy of
+// every ρ. A rejection is carried in status/msg (413 over-limit, 400
+// shape/validation) alongside the returned error, so decodeBatchReference
+// can answer with the precise status.
 type profilesField struct {
 	profiles []profile.Profile
 	status   int
@@ -265,10 +443,12 @@ func (pf *profilesField) fail(status int, msg string) error {
 	return errBatchReject
 }
 
-// UnmarshalJSON parses `[[ρ,...],...]` in place. json.Unmarshal has already
-// syntax-checked the whole body (checkValid runs before any decoding), so
-// data is well-formed JSON and the parser only decides shape: every element
-// must be an array of numbers that profile.New accepts.
+// UnmarshalJSON parses `[[ρ,...],...]` in place. encoding/json syntax-checks
+// the whole body before it decodes any value (checkValid), so data is
+// well-formed JSON — every token a complete JSON value — and the parser only
+// decides shape: every element must be an array of numbers that
+// profile.New accepts. That guarantee is why this parser, unlike
+// scanBatchRequest, can skip number grammar and leave it to ParseFloat.
 func (pf *profilesField) UnmarshalJSON(data []byte) error {
 	pf.profiles = nil // duplicate "profiles" keys restart, like encoding/json
 	i := skipJSONSpace(data, 0)
@@ -338,14 +518,15 @@ func skipJSONSpace(data []byte, i int) int {
 // request into a single body — the cacheable rendering. Peak memory is
 // O(sum of fragment sizes); responses estimated above the streaming
 // threshold take writeBatchStream instead (HTTP path only).
-func (s *Server) renderBatchBuffered(m model.Params, profiles []profile.Profile) []byte {
+func (s *Server) renderBatchBuffered(req decodedBatch) []byte {
 	// Dedupe bit-identical profiles within the request: repeated sweeps
 	// often carry the same candidate many times, and every duplicate shares
 	// its representative's rendered fragment.
+	profiles := req.profiles
 	uniq, canon, dups := dedupeProfiles(profiles)
 	s.batchDeduped.Add(uint64(dups))
 
-	frags := s.renderUnique(m, profiles, uniq)
+	frags := s.renderUnique(req, uniq)
 
 	// Assemble `{"count":N,"results":[f1,f2,...]}` + '\n' from the fragments
 	// (each a full measure body whose trailing newline is stripped) —
@@ -377,7 +558,8 @@ func (s *Server) renderBatchBuffered(m model.Params, profiles []profile.Profile)
 // largest-first. Fragment values are independent of the schedule —
 // incr.MeasureProfile is worker-count-invariant — so /v1/batch stays
 // bit-identical to /v1/measure in every regime.
-func (s *Server) renderUnique(m model.Params, profiles []profile.Profile, uniq []int) [][]byte {
+func (s *Server) renderUnique(req decodedBatch, uniq []int) [][]byte {
+	m, profiles := req.m, req.profiles
 	frags := make([][]byte, len(uniq))
 	useCache := s.cache != nil && s.cache.capacity > 0
 
@@ -409,10 +591,9 @@ func (s *Server) renderUnique(m model.Params, profiles []profile.Profile, uniq [
 		jobProfiles[j] = profiles[uniq[jb.u]]
 	}
 	render := func(jb job) []byte {
-		p := profiles[uniq[jb.u]]
+		p, echo := profiles[uniq[jb.u]], req.echoes[uniq[jb.u]]
 		eval := func(workers int) ([]byte, error) {
-			fm := incr.MeasureProfile(m, p, workers)
-			return appendMeasureResponse(make([]byte, 0, 20*(len(p)+6)), p, fm), nil
+			return renderMeasure(p, echo, incr.MeasureProfile(m, p, workers)), nil
 		}
 		if jb.key == "" {
 			body, _ := eval(1)

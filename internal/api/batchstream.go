@@ -25,8 +25,8 @@ import (
 // largest single fragment) no matter how many profiles the batch carries.
 //
 // The streamed bytes are bit-identical to the buffered rendering on
-// success — both splice the same appendMeasureResponse fragments into the
-// same frame, and incr.MeasureProfile is worker-count invariant — so the
+// success — both splice the same measure-body fragments into the same
+// frame, and incr.MeasureProfile is worker-count invariant — so the
 // buffered golden test (batch ≡ spliced per-profile measure) doubles as the
 // streaming oracle. What streaming gives up is cacheability: bytes that
 // were never assembled cannot be admitted to the raw body-front, so
@@ -94,26 +94,26 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 	if front && s.serveSpillStream(w, key) {
 		return
 	}
-	m, profiles, status, msg := s.decodeBatchRequest(body)
+	req, status, msg := s.decodeBatchRequest(body)
 	if status != 0 {
 		writeError(w, status, msg)
 		return
 	}
-	s.noteBatch(len(profiles))
-	if s.shouldStreamBatch(profiles) {
+	s.noteBatch(len(req.profiles))
+	if s.shouldStreamBatch(req.profiles) {
 		teeKey := ""
 		if front {
 			teeKey = key
 		}
-		s.streamBatch(r.Context(), w, m, profiles, teeKey)
+		s.streamBatch(r.Context(), w, req, teeKey)
 		return
 	}
 	if !front {
-		writeRawJSON(w, http.StatusOK, s.renderBatchBuffered(m, profiles))
+		writeRawJSON(w, http.StatusOK, s.renderBatchBuffered(req))
 		return
 	}
 	resp, _, coalesced, err := s.batchRawCache.fillStrMeta(h, key, func() ([]byte, int64, error) {
-		return s.renderBatchBuffered(m, profiles), int64(len(profiles)), nil
+		return s.renderBatchBuffered(req), int64(len(req.profiles)), nil
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
@@ -132,7 +132,7 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 // file), committed only when the stream completes cleanly — an error
 // trailer or snapped connection aborts the tee so no truncated response
 // can ever be served later.
-func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model.Params, profiles []profile.Profile, teeKey string) {
+func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, req decodedBatch, teeKey string) {
 	if err := ctx.Err(); err != nil {
 		// Nothing written yet: a plain error status is still possible.
 		writeError(w, http.StatusServiceUnavailable, "request cancelled before streaming began")
@@ -156,7 +156,7 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model
 	}
 	// A write error means the client is gone; there is no one to deliver a
 	// trailer to, so the error is dropped after the stream is abandoned.
-	err := s.writeBatchStream(ctx, dst, flush, m, profiles)
+	err := s.writeBatchStream(ctx, dst, flush, req)
 	if ap != nil {
 		if err == nil {
 			ap.Commit()
@@ -253,11 +253,11 @@ func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) 
 			return http.StatusOK, "", err
 		}
 	}
-	m, profiles, status, msg := s.decodeBatchRequest(body)
+	req, status, msg := s.decodeBatchRequest(body)
 	if status != 0 {
 		return status, msg, nil
 	}
-	s.noteBatch(len(profiles))
+	s.noteBatch(len(req.profiles))
 	s.batchStreamed.Add(1)
 	dst := w
 	var ap *spill.Appender
@@ -266,7 +266,7 @@ func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) 
 			dst = io.MultiWriter(w, ap)
 		}
 	}
-	err = s.writeBatchStream(ctx, dst, func() {}, m, profiles)
+	err = s.writeBatchStream(ctx, dst, func() {}, req)
 	if ap != nil {
 		if err == nil {
 			ap.Commit()
@@ -290,7 +290,8 @@ func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) 
 // Cancellation is checked before each fragment's evaluation, so a client
 // disconnect aborts the per-profile work promptly instead of evaluating
 // the remaining profiles into a dead socket.
-func (s *Server) writeBatchStream(ctx context.Context, w io.Writer, flush func(), m model.Params, profiles []profile.Profile) error {
+func (s *Server) writeBatchStream(ctx context.Context, w io.Writer, flush func(), req decodedBatch) error {
+	profiles := req.profiles
 	uniq, canon, dups := dedupeProfiles(profiles)
 	s.batchDeduped.Add(uint64(dups))
 	lastUse := make([]int, len(uniq))
@@ -315,7 +316,7 @@ func (s *Server) writeBatchStream(ctx context.Context, w io.Writer, flush func()
 		frag := held[u]
 		if frag == nil {
 			var stable bool
-			frag, stable = s.renderStreamFragment(&scratch, m, profiles[uniq[u]])
+			frag, stable = s.renderStreamFragment(&scratch, req.m, profiles[uniq[u]], req.echoes[uniq[u]])
 			if lastUse[u] > i {
 				if !stable {
 					cp := make([]byte, len(frag))
@@ -379,7 +380,8 @@ func (s *Server) writeStreamTrailer(w io.Writer, flush func(), written int, caus
 }
 
 // renderStreamFragment renders the measure body for one profile
-// (newline-terminated, like every fragment). Cache-eligible profiles go
+// (newline-terminated, like every fragment), copying the echo from the
+// request's canonical spelling when there is one. Cache-eligible profiles go
 // through the canonical measure cache exactly as the buffered path does —
 // the returned body is then cache-owned and stable. Otherwise the fragment
 // is rendered into the caller's reusable scratch buffer (stable = false:
@@ -387,14 +389,14 @@ func (s *Server) writeStreamTrailer(w io.Writer, flush func(), written int, caus
 // them must copy). Large profiles turn the pool inward through the chunked
 // within-profile kernel; the result is worker-count invariant either way,
 // which is what keeps streamed bytes bit-identical to buffered ones.
-func (s *Server) renderStreamFragment(scratch *[]byte, m model.Params, p profile.Profile) (frag []byte, stable bool) {
+func (s *Server) renderStreamFragment(scratch *[]byte, m model.Params, p profile.Profile, echo []byte) (frag []byte, stable bool) {
 	workers := 1
 	if len(p) >= incr.ScheduleLargeCutover {
 		workers = 0
 	}
 	if s.cache == nil || s.cache.capacity <= 0 || len(p) < batchCacheMinProfile {
 		fm := incr.MeasureProfile(m, p, workers)
-		*scratch = appendMeasureResponse((*scratch)[:0], p, fm)
+		*scratch = appendMeasureTail(appendEcho((*scratch)[:0], p, echo), fm)
 		return *scratch, false
 	}
 	key := string(appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p))
@@ -404,8 +406,7 @@ func (s *Server) renderStreamFragment(scratch *[]byte, m model.Params, p profile
 		return body, true
 	}
 	body, _, _ := s.cache.fillStr(h, key, func() ([]byte, error) {
-		fm := incr.MeasureProfile(m, p, workers)
-		return appendMeasureResponse(make([]byte, 0, 20*(len(p)+6)), p, fm), nil
+		return renderMeasure(p, echo, incr.MeasureProfile(m, p, workers)), nil
 	})
 	return body, true
 }

@@ -56,7 +56,7 @@ func (f *testFleet) ownerIndex(t *testing.T, rawQuery string) int {
 	t.Helper()
 	s := f.servers[0]
 	sc := &measureScratch{}
-	m, status, msg := s.parseMeasureQuery(sc, rawQuery)
+	m, _, status, msg := s.parseMeasureQuery(sc, rawQuery)
 	if status != 0 {
 		t.Fatalf("parse %q: %d %s", rawQuery, status, msg)
 	}
@@ -213,7 +213,7 @@ func TestPeerFallbackAllPeersDown(t *testing.T) {
 			t.Fatalf("query %d with peers down: status %d, match %v", i, status, bytes.Equal(got, want))
 		}
 		sc := &measureScratch{}
-		m, _, _ := s.parseMeasureQuery(sc, q)
+		m, _, _, _ := s.parseMeasureQuery(sc, q)
 		if _, self := s.cluster.Owner(hashKey(appendCanonicalKey(nil, m, sc.rhos))); !self {
 			sawPeerOwned = true
 		}
@@ -266,7 +266,7 @@ func TestPeerEndpointValidation(t *testing.T) {
 	// A put for a key this replica does not own is rejected.
 	q := f.queryOwnedBy(t, 1) // owned by replica 1, offered to replica 0
 	sc := &measureScratch{}
-	m, _, _ := s0.parseMeasureQuery(sc, q)
+	m, _, _, _ := s0.parseMeasureQuery(sc, q)
 	key := appendCanonicalKey(nil, m, sc.rhos)
 	frame := append(append([]byte{cluster.LayerCanonical}, key...), '\n')
 	frame = append(frame, []byte(`{"fake":1}`)...)
@@ -374,7 +374,7 @@ func TestPeerGetDoesNotEvaluate(t *testing.T) {
 	f := newTestFleet(t, 2, nil)
 	q := f.queryOwnedBy(t, 0)
 	sc := &measureScratch{}
-	m, _, _ := f.servers[0].parseMeasureQuery(sc, q)
+	m, _, _, _ := f.servers[0].parseMeasureQuery(sc, q)
 	key := appendCanonicalKey(nil, m, sc.rhos)
 
 	resp, err := http.Post(f.http[0].URL+cluster.PeerGetPath, "application/octet-stream",
@@ -446,7 +446,7 @@ func TestPeerGetServesFromSpill(t *testing.T) {
 		t.Fatalf("owner warm status %d", status)
 	}
 	sc := &measureScratch{}
-	m, pstatus, msg := s0.parseMeasureQuery(sc, q)
+	m, _, pstatus, msg := s0.parseMeasureQuery(sc, q)
 	if pstatus != 0 {
 		t.Fatalf("parse: %d %s", pstatus, msg)
 	}

@@ -80,12 +80,14 @@ type coalesceResult struct {
 // A parsed item's rhos alias the submitter's pooled scratch. That is safe
 // because the submitter blocks until its response channel delivers — the
 // scratch cannot be reused while the flush reads it — but the flush must
-// never retain rhos past the response send.
+// never retain rhos past the response send. spelled is the item's profile
+// value when it is already the canonical echo text, else "".
 type coalesceItem struct {
 	raw      bool
 	rawQuery string
 	m        model.Params
 	rhos     []float64
+	spelled  string
 	resp     chan coalesceResult
 	enqueued time.Time
 }
@@ -186,11 +188,12 @@ func (b *measureBatcher) submitRaw(rawQuery string) (coalesceResult, bool) {
 // submitParsed coalesces one already-parsed canonical miss; called from
 // inside the canonical cache's fill closure, so the caller is the flight
 // leader for this key and publishes the returned body itself.
-func (b *measureBatcher) submitParsed(m model.Params, rhos []float64) ([]byte, bool) {
+func (b *measureBatcher) submitParsed(m model.Params, rhos []float64, spelled string) ([]byte, bool) {
 	res, ok := b.submit(coalesceItem{
-		m:    m,
-		rhos: rhos,
-		resp: make(chan coalesceResult, 1),
+		m:       m,
+		rhos:    rhos,
+		spelled: spelled,
+		resp:    make(chan coalesceResult, 1),
 	})
 	if !ok {
 		return nil, false
@@ -244,10 +247,13 @@ func (b *measureBatcher) run() {
 	}
 }
 
-// coalesceGroup is one distinct profile content within a flush.
+// coalesceGroup is one distinct profile content within a flush. spelled is
+// the profile value of any member that spelled it canonically ("" if none):
+// every canonical spelling of one content is the same text.
 type coalesceGroup struct {
 	rhos     []float64
 	bitsHash uint64
+	spelled  string
 	echo     []byte // rendered profile-echo fragment, built once
 }
 
@@ -322,17 +328,20 @@ func (b *measureBatcher) flush(batch []coalesceItem) {
 		memo   map[string]*profMemo
 		byHash map[uint64][]int
 	)
-	findGroup := func(rhos []float64) int {
+	findGroup := func(rhos []float64, spelled string) int {
 		h := hashRhoBits(rhos)
 		if byHash == nil {
 			byHash = make(map[uint64][]int)
 		}
 		for _, g := range byHash[h] {
 			if floatsEqual(groups[g].rhos, rhos) {
+				if groups[g].spelled == "" {
+					groups[g].spelled = spelled
+				}
 				return g
 			}
 		}
-		groups = append(groups, coalesceGroup{rhos: rhos, bitsHash: h})
+		groups = append(groups, coalesceGroup{rhos: rhos, bitsHash: h, spelled: spelled})
 		g := len(groups) - 1
 		byHash[h] = append(byHash[h], g)
 		return g
@@ -368,9 +377,14 @@ func (b *measureBatcher) flush(batch []coalesceItem) {
 			pm, ok := memo[q.profileVal]
 			if !ok {
 				pm = &profMemo{}
-				pm.rhos, pm.status, pm.msg = parseProfileValue(q.profileVal, nil)
+				var canon bool
+				pm.rhos, canon, pm.status, pm.msg = parseProfileValue(q.profileVal, nil)
 				if pm.status == 0 {
-					pm.group = findGroup(pm.rhos)
+					spelled := ""
+					if canon {
+						spelled = q.profileVal
+					}
+					pm.group = findGroup(pm.rhos, spelled)
 				}
 				memo[q.profileVal] = pm
 			}
@@ -382,7 +396,7 @@ func (b *measureBatcher) flush(batch []coalesceItem) {
 			rhos, plans[i].group = pm.rhos, pm.group
 		} else {
 			m, rhos = it.m, it.rhos
-			plans[i].group = findGroup(rhos)
+			plans[i].group = findGroup(rhos, it.spelled)
 		}
 		plans[i].m = m
 		plans[i].eval = len(evalItems)
@@ -410,12 +424,13 @@ func (b *measureBatcher) flush(batch []coalesceItem) {
 	b.srv.measureEvals.Add(uint64(len(evalItems)))
 	measures := incr.CoalescedMeasure(evalItems, uniques, 0)
 
-	// Phase 3: render — echo fragment once per group, tail per item.
+	// Phase 3: render — echo fragment once per group (copied from a
+	// canonical member's spelling when there is one), tail per item.
 	bodies := make([][]byte, len(batch))
 	for _, i := range evalOwner {
 		g := plans[i].group
 		if groups[g].echo == nil {
-			groups[g].echo = appendProfileEcho(make([]byte, 0, 16*len(groups[g].rhos)+16), groups[g].rhos)
+			groups[g].echo = appendEcho(make([]byte, 0, 16*len(groups[g].rhos)+16), groups[g].rhos, groups[g].spelled)
 		}
 		echo := groups[g].echo
 		body := make([]byte, len(echo), len(echo)+256)

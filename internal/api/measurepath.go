@@ -172,7 +172,7 @@ func (s *Server) measure(sc *measureScratch, rawQuery string) (int, []byte, stri
 // measureCanonical is the canonical-key layer: parse, canonicalize, sharded
 // lookup, singleflight-coalesced evaluation on a miss.
 func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []byte, string) {
-	m, status, msg := s.parseMeasureQuery(sc, rawQuery)
+	m, spelled, status, msg := s.parseMeasureQuery(sc, rawQuery)
 	if status != 0 {
 		return status, nil, msg
 	}
@@ -219,7 +219,7 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 			}
 		}
 		if b := s.batcher; b != nil {
-			if out, ok := b.submitParsed(m, sc.rhos); ok {
+			if out, ok := b.submitParsed(m, sc.rhos, spelled); ok {
 				if pushOwner != "" {
 					s.cluster.Push(pushOwner, cluster.LayerCanonical, sc.key, out)
 				}
@@ -228,7 +228,7 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 		}
 		s.measureEvals.Add(1)
 		fm := incr.MeasureProfile(m, profile.Profile(sc.rhos), 0)
-		sc.enc = appendMeasureResponse(sc.enc[:0], sc.rhos, fm)
+		sc.enc = appendMeasureTail(appendEcho(sc.enc[:0], sc.rhos, spelled), fm)
 		out := make([]byte, len(sc.enc))
 		copy(out, sc.enc)
 		if pushOwner != "" {
@@ -331,21 +331,33 @@ func parseMeasureParams(defaults model.Params, q measureQueryParts) (model.Param
 
 // parseProfileValue decodes one profile parameter value into dst (reusing
 // its backing array), applying the same admission checks as profile.New.
-func parseProfileValue(profileVal string, dst []float64) ([]float64, int, string) {
+// canon reports whether every comma-separated token is already the spelling
+// appendJSONFloat renders (see scanRho), so the echo may copy profileVal.
+// Tokens that are JSON numbers convert through scanRho; anything else
+// (surrounding spaces, hex, ".5") takes strconv.ParseFloat as before — the
+// two agree bit for bit wherever both accept.
+func parseProfileValue(profileVal string, dst []float64) (rhos []float64, canon bool, status int, msg string) {
 	if profileVal == "" {
-		return dst, 400, "missing profile"
+		return dst, false, 400, "missing profile"
 	}
 	dst = dst[:0]
+	canon = true
 	rest := profileVal
 	for {
 		part, tail, found := strings.Cut(rest, ",")
-		part = strings.TrimSpace(part)
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return dst, 400, fmt.Sprintf("bad ρ-value %q", part)
+		v, end, tokCanon, ok := scanRho(part, 0)
+		if ok && end == len(part) {
+			canon = canon && tokCanon
+		} else {
+			canon = false
+			part = strings.TrimSpace(part)
+			var err error
+			if v, err = strconv.ParseFloat(part, 64); err != nil {
+				return dst, false, 400, fmt.Sprintf("bad ρ-value %q", part)
+			}
 		}
 		if msg := checkRhoValue(len(dst), v); msg != "" {
-			return dst, 400, msg
+			return dst, false, 400, msg
 		}
 		dst = append(dst, v)
 		if !found {
@@ -353,24 +365,29 @@ func parseProfileValue(profileVal string, dst []float64) ([]float64, int, string
 		}
 		rest = tail
 	}
-	return dst, 0, ""
+	return dst, canon, 0, ""
 }
 
 // parseMeasureQuery decodes profile/tau/pi/delta from the raw query:
 // splitMeasureQuery's pair scan, then parameters, then the profile — the
 // composition the admission batcher unbundles to share the profile decode
-// across a flush.
-func (s *Server) parseMeasureQuery(sc *measureScratch, rawQuery string) (model.Params, int, string) {
+// across a flush. spelled is the profile value when it is already the
+// canonical echo text (see appendEcho), else "".
+func (s *Server) parseMeasureQuery(sc *measureScratch, rawQuery string) (m model.Params, spelled string, status int, msg string) {
 	q := splitMeasureQuery(rawQuery)
-	m, status, msg := parseMeasureParams(s.Defaults, q)
+	m, status, msg = parseMeasureParams(s.Defaults, q)
 	if status != 0 {
-		return m, status, msg
+		return m, "", status, msg
 	}
-	sc.rhos, status, msg = parseProfileValue(q.profileVal, sc.rhos)
+	var canon bool
+	sc.rhos, canon, status, msg = parseProfileValue(q.profileVal, sc.rhos)
 	if status != 0 {
-		return m, status, msg
+		return m, "", status, msg
 	}
-	return m, 0, ""
+	if canon {
+		spelled = q.profileVal
+	}
+	return m, spelled, 0, ""
 }
 
 // checkRhoValue applies profile.New's admission checks to one decoded ρ
@@ -419,6 +436,31 @@ func appendProfileEcho(dst []byte, rhos []float64) []byte {
 	return dst
 }
 
+// appendEcho renders the profile echo like appendProfileEcho, but copies
+// spelled — the request's comma-separated ρ text — when the decoder found it
+// already canonical (every token scanRho's canon), instead of re-formatting
+// every float. An empty spelled means "not canonical": format as usual. A
+// spelled text is a view of request bytes, so the copy is also what keeps
+// rendered bodies (which the caches retain) from aliasing the request.
+func appendEcho[T string | []byte](dst []byte, rhos []float64, spelled T) []byte {
+	if len(spelled) == 0 {
+		return appendProfileEcho(dst, rhos)
+	}
+	dst = append(dst, `{"profile":[`...)
+	dst = append(dst, spelled...)
+	return append(dst, ']')
+}
+
+// renderMeasure renders one /v1/measure body into a fresh buffer sized for
+// it: the echo (copied from spelled when canonical) plus the measure tail.
+func renderMeasure(rhos []float64, spelled []byte, fm incr.FullMeasure) []byte {
+	size := 20 * (len(rhos) + 6)
+	if len(spelled) > 0 {
+		size = len(spelled) + 256 // brackets, six floats and their keys
+	}
+	return appendMeasureTail(appendEcho(make([]byte, 0, size), rhos, spelled), fm)
+}
+
 // appendMeasureTail renders the measure fields that follow the profile echo,
 // closing the object and appending the trailing newline json.Encoder emits.
 func appendMeasureTail(dst []byte, fm incr.FullMeasure) []byte {
@@ -441,10 +483,122 @@ func appendMeasureTail(dst []byte, fm incr.FullMeasure) []byte {
 // appendMeasureResponse renders the /v1/measure JSON body into dst,
 // byte-identical to json.Marshal of MeasureResponse (field order follows
 // the struct; floats use appendJSONFloat) plus the trailing newline that
-// json.Encoder emits.
+// json.Encoder emits. It always formats every ρ: the serving paths copy
+// canonical spellings instead (appendEcho), and this is the formatting
+// reference they are tested against.
 func appendMeasureResponse(dst []byte, rhos []float64, fm incr.FullMeasure) []byte {
 	dst = appendProfileEcho(dst, rhos)
 	return appendMeasureTail(dst, fm)
+}
+
+// float64pow10 holds the powers of ten that float64 represents exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// scanRho scans one RFC 8259 number token starting at data[i] and converts
+// it. end is the index just past the token (the caller checks what follows);
+// ok = false means data[i:] does not start a JSON number, or
+// strconv.ParseFloat rejects it as out of range. The value is bit-identical
+// to strconv.ParseFloat's: a mantissa of at most 2^53 with a decimal
+// exponent within ±22 takes Clinger's exact fast path (both operands are
+// exact float64 values, so one IEEE multiply or divide rounds correctly),
+// and every other token calls ParseFloat itself.
+//
+// canon reports whether the token is already exactly what appendJSONFloat
+// prints for its value: "1", or "0." + digits with no trailing zero, at
+// most 5 leading fraction zeros (so the value is ≥ 1e-6 and prints in 'f'
+// form) and at most 15 significant digits. Distinct decimals of at most 15
+// significant digits are distinct float64 values, so the shortest
+// round-trip form of such a token is the token itself. A 16- or 17-digit
+// spelling may not be, so it takes the formatter.
+func scanRho[T string | []byte](data T, i int) (v float64, end int, canon, ok bool) {
+	n := len(data)
+	start := i
+	neg := i < n && data[i] == '-'
+	if neg {
+		i++
+	}
+	if i >= n || data[i] < '0' || data[i] > '9' {
+		return 0, i, false, false
+	}
+	lead := data[i]
+	var mant uint64
+	nd, exp := 0, 0 // significant digits in mant; decimal exponent
+	exact := true   // every significant digit fits in mant
+	if lead == '0' {
+		i++
+	} else {
+		for ; i < n && data[i] >= '0' && data[i] <= '9'; i++ {
+			if nd == 19 {
+				exact = false
+				continue
+			}
+			mant = mant*10 + uint64(data[i]-'0')
+			nd++
+		}
+	}
+	intLen := i - start
+	fracLen, fracZeros := 0, 0
+	if i < n && data[i] == '.' {
+		i++
+		fracStart := i
+		for ; i < n && data[i] >= '0' && data[i] <= '9'; i++ {
+			switch {
+			case mant == 0 && data[i] == '0':
+				fracZeros++
+				exp--
+			case nd == 19:
+				exact = false
+			default:
+				mant = mant*10 + uint64(data[i]-'0')
+				nd++
+				exp--
+			}
+		}
+		if fracLen = i - fracStart; fracLen == 0 {
+			return 0, i, false, false
+		}
+	}
+	hasExp := i < n && (data[i] == 'e' || data[i] == 'E')
+	if hasExp {
+		i++
+		eneg := i < n && data[i] == '-'
+		if i < n && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		expStart, e := i, 0
+		for ; i < n && data[i] >= '0' && data[i] <= '9'; i++ {
+			if e < 1e4 { // beyond any float64 exponent; ParseFloat decides
+				e = e*10 + int(data[i]-'0')
+			}
+		}
+		if i == expStart {
+			return 0, i, false, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	canon = !neg && !hasExp &&
+		((lead == '1' && intLen == 1 && fracLen == 0) ||
+			(lead == '0' && fracLen > 0 && data[i-1] != '0' && fracZeros <= 5 && fracLen-fracZeros <= 15))
+	if exact && mant <= 1<<53 && exp >= -22 && exp <= 22 {
+		v = float64(mant)
+		if exp < 0 {
+			v /= float64pow10[-exp]
+		} else {
+			v *= float64pow10[exp]
+		}
+		if neg {
+			v = -v
+		}
+		return v, i, canon, true
+	}
+	v, err := strconv.ParseFloat(string(data[start:i]), 64)
+	return v, i, canon, err == nil
 }
 
 // appendJSONFloat appends f exactly as encoding/json's floatEncoder renders
