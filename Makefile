@@ -62,9 +62,13 @@ BENCH_batch.json: FORCE
 
 FORCE:
 
+# lint also vets and compiles the benchmark harness (perfbench/, its own
+# module) against this checkout, so an internal/api change that breaks the
+# benchmark's build fails here rather than at benchmark time.
 lint:
 	$(GO) vet ./...
 	gofmt -l cmd internal examples bench_test.go | tee /dev/stderr | wc -l | grep -q '^0$$'
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) build -o /dev/null ./...
 
 # check = lint + no stray generator artifacts + the benchmark certificates
 # parse and meet their thresholds. Run `make bench` first (or on failure)

@@ -28,7 +28,7 @@
 // The first four regimes run against two servers built from the same code:
 // the tuned configuration (sharded cache, singleflight coalescing,
 // raw-query front layer) and the historical baseline (single-lock cache, no
-// coalescing, no raw layer — api.NewServerCacheOpts(n, 1, false)). The
+// coalescing, no raw layer — api.CacheConfig{Entries: n, Shards: 1}). The
 // report records ops/sec for both, the speedup, and tuned-side p50/p99
 // latency and allocations per operation.
 //
@@ -230,7 +230,7 @@ func buildReport(quick bool) Report {
 	rep := Report{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Pass: true}
 
 	newBaseline := func() *api.Server {
-		return api.NewServerCacheOpts(api.DefaultMeasureCacheSize, 1, false)
+		return api.NewServerWithCache(api.CacheConfig{Entries: api.DefaultMeasureCacheSize, Shards: 1})
 	}
 	newTuned := func() *api.Server { return api.NewServer() }
 

@@ -14,6 +14,12 @@
 // become JSON 500s; and SIGINT/SIGTERM trigger a graceful drain before
 // exit.
 //
+// -cache-size and -cache-bytes bound each of the three response caches
+// (the canonical /v1/measure cache, its raw-query front and the /v1/batch
+// body front) by entries and by resident key+body bytes. Each cache's shard
+// count is fixed at startup from -cache-size: one shard per 8 entries,
+// rounded down to a power of two, at most 16.
+//
 // -coalesce enables the cross-request admission batcher for /v1/measure:
 // concurrent cache misses for *distinct* keys are merged into shared flushes
 // (sealed at -coalesce-max items or after -coalesce-wait, whichever first),
@@ -53,7 +59,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -81,11 +86,8 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	pprofAddr := fs.String("pprof-addr", "", "listen address for net/http/pprof on a separate listener (empty disables; keep it off public interfaces)")
 	cacheSize := fs.Int("cache-size", api.DefaultMeasureCacheSize, "bound on the /v1/measure response cache (0 disables)")
-	cacheShards := fs.Int("cache-shards", 0, "lock shards for the measure cache (0 = automatic, rounded down to a power of two)")
 	cacheBytes := fs.Int64("cache-bytes", api.DefaultCacheBytes, "byte budget per response cache, counting key+body per entry (0 = unlimited)")
-	cacheAdaptive := fs.Bool("cache-adaptive", true, "grow cache shard count from observed contention (only with -cache-shards 0)")
 	maxBody := fs.Int("max-body", api.DefaultMaxBody, "byte cap on any POST request body")
-	maxBatchBody := fs.Int("max-batch-body", 0, "deprecated alias for -max-body (0 = unset)")
 	streamBatchThreshold := fs.Int("stream-batch-threshold", 0, "work-units estimate (total ρ-values per batch) past which /v1/batch responses stream instead of buffering (0 = default, negative disables streaming)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout")
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
@@ -110,12 +112,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	maxBodySet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "max-body" {
-			maxBodySet = true
-		}
-	})
 	tier, err := buildClusterTier(*peers, *self, *peerHedgeDelay, *peerTimeout)
 	if err != nil {
 		return err
@@ -149,11 +145,9 @@ func run(args []string) error {
 	apiSrv := api.NewServerWithCache(api.CacheConfig{
 		Entries:  *cacheSize,
 		MaxBytes: budget,
-		Shards:   *cacheShards,
 		Coalesce: true,
-		Adaptive: *cacheAdaptive,
 	})
-	apiSrv.MaxBody = resolveMaxBody(*maxBody, maxBodySet, *maxBatchBody, os.Stderr)
+	apiSrv.MaxBody = *maxBody
 	apiSrv.StreamBatchThreshold = *streamBatchThreshold
 	if *spillDir != "" {
 		st, err := spill.Open(spill.Config{
@@ -202,20 +196,6 @@ func run(args []string) error {
 		apiSrv.CloseCoalesce()
 		apiSrv.CloseSpill()
 	})
-}
-
-// resolveMaxBody unifies -max-body with its deprecated -max-batch-body
-// alias: an explicitly set -max-body always wins (maxBodySet reports whether
-// the flag appeared on the command line), otherwise a set alias applies.
-// Using the alias at all earns a one-line deprecation warning on warn.
-func resolveMaxBody(maxBody int, maxBodySet bool, maxBatchBody int, warn io.Writer) int {
-	if maxBatchBody > 0 {
-		fmt.Fprintln(warn, "heterod: -max-batch-body is deprecated; use -max-body")
-		if !maxBodySet {
-			return maxBatchBody
-		}
-	}
-	return maxBody
 }
 
 // buildClusterTier validates and builds the peer cache tier from the fleet

@@ -65,11 +65,6 @@ type Server struct {
 	// MaxBody caps every POST request body in bytes (batch, simulate,
 	// schedule, design); 0 means DefaultMaxBody. Set it before serving.
 	MaxBody int
-	// MaxBatchBody is the historical per-endpoint spelling of MaxBody; it
-	// applies only when MaxBody is unset.
-	//
-	// Deprecated: set MaxBody — the caps are unified.
-	MaxBatchBody int
 	// StreamBatchThreshold is the work-units estimate (incr.WorkUnits: one
 	// unit per ρ-value in the batch) at or above which a POST /v1/batch
 	// response is streamed with per-fragment flushes instead of buffered.
@@ -121,22 +116,10 @@ func NewServer() *Server { return NewServerCacheSize(DefaultMeasureCacheSize) }
 
 // NewServerCacheSize returns a server with an explicit /v1/measure cache
 // bound; cacheSize ≤ 0 disables response caching. The cache is sharded
-// automatically (growing adaptively under contention), coalesces concurrent
-// identical misses, and carries the default byte budget.
+// automatically, coalesces concurrent identical misses, and carries the
+// default byte budget.
 func NewServerCacheSize(cacheSize int) *Server {
-	return NewServerWithCache(CacheConfig{Entries: cacheSize, Coalesce: true, Adaptive: true})
-}
-
-// NewServerCacheOpts returns a server with cache control: shards is the
-// lock-domain count (0 means automatic, values round down to a power of
-// two) and coalesce toggles singleflight miss coalescing. shards = 1 with
-// coalesce = false reproduces the historical single-lock cache — the
-// baseline configuration cmd/benchserve measures speedups against; that
-// baseline also runs without the raw front layers.
-func NewServerCacheOpts(cacheSize, shards int, coalesce bool) *Server {
-	return NewServerWithCache(CacheConfig{
-		Entries: cacheSize, Shards: shards, Coalesce: coalesce, Adaptive: true,
-	})
+	return NewServerWithCache(CacheConfig{Entries: cacheSize, Coalesce: true})
 }
 
 // CacheConfig configures every response-cache layer of a Server: the
@@ -149,20 +132,21 @@ type CacheConfig struct {
 	// len(body) per entry. 0 means DefaultCacheBytes; negative means
 	// unlimited (entry count still bounds).
 	MaxBytes int64
-	// Shards fixes the lock-domain count (0 = automatic, values round down
-	// to a power of two). An explicit count disables adaptive resizing so
-	// the geometry stays exactly as configured.
+	// Shards is each cache's lock-domain count, fixed for the cache's
+	// lifetime: 0 = automatic (one shard per 8 entries, as a power of two,
+	// at most 16), other values round down to a power of two. Shards = 1
+	// with Coalesce off reproduces the historical single-lock cache — the
+	// baseline configuration cmd/benchserve measures speedups against.
 	Shards int
 	// Coalesce toggles singleflight miss coalescing. When off, the raw
 	// front layers are disabled too (the historical baseline shape).
 	Coalesce bool
-	// Adaptive enables contention-adaptive shard growth; only honored with
-	// automatic sharding.
+	// Deprecated: ignored; shard geometry is fixed at construction.
 	Adaptive bool
 }
 
 // NewServerWithCache returns a server with full cache control; the other
-// constructors are conveniences over this one.
+// constructors are conveniences over this one. Every Server is built here.
 func NewServerWithCache(cfg CacheConfig) *Server {
 	mk := func(entries int) *responseCache {
 		maxBytes := cfg.MaxBytes
@@ -176,7 +160,6 @@ func NewServerWithCache(cfg CacheConfig) *Server {
 			maxBytes: maxBytes,
 			shards:   cfg.Shards,
 			coalesce: cfg.Coalesce,
-			adaptive: cfg.Adaptive && cfg.Shards == 0,
 		})
 	}
 	rawSize := cfg.Entries
@@ -216,15 +199,6 @@ func (s *Server) CloseCoalesce() {
 // hardening middleware (panic recovery, bounded admission, per-request
 // deadlines — see ServingConfig).
 func (s *Server) Handler() http.Handler {
-	if s.cache == nil { // zero-constructed Server literals keep working
-		s.cache = newResponseCache(DefaultMeasureCacheSize)
-	}
-	if s.rawCache == nil {
-		s.rawCache = newResponseCache(s.cache.capacity)
-	}
-	if s.batchRawCache == nil {
-		s.batchRawCache = newResponseCache(s.cache.capacity)
-	}
 	s.initServing()
 	s.markStarted()
 	mux := http.NewServeMux()
@@ -276,7 +250,6 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	sc := measureScratchPool.Get().(*measureScratch)
 	status, body, msg := s.measure(sc, r.URL.RawQuery)
 	measureScratchPool.Put(sc)
-	s.drainResizes()
 	if status != http.StatusOK {
 		writeError(w, status, msg)
 		return
@@ -353,9 +326,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// drainResizes must run however the request ends — including a client
-	// disconnect mid-stream — or adaptive shard growth stalls.
-	defer s.drainResizes()
 	// A body of B bytes decodes to at most ~B/2 ρ-values, so bodies under
 	// the work-units threshold in bytes can never stream: they take the
 	// buffered engine (raw body-front, dedupe, cacheable assembly) whole.
@@ -378,25 +348,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // RawCoalesced): a request resolves at exactly one layer, so Hits + Misses
 // + Coalesced equals the measure request count either way.
 type CacheStats struct {
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Coalesced    uint64 `json:"coalesced"`
-	Evicted      uint64 `json:"evicted"`
-	Rejected     uint64 `json:"rejected"` // entries over a shard's whole byte budget
-	RawHits      uint64 `json:"raw_hits"`
-	RawCoalesced uint64 `json:"raw_coalesced"`
-	Size         int    `json:"size"`
-	Capacity     int    `json:"capacity"`
-	Bytes        int64  `json:"bytes"`     // resident key+body bytes, canonical layer
-	RawBytes     int64  `json:"raw_bytes"` // resident bytes, raw-query front layer
-	MaxBytes     int64  `json:"max_bytes"` // per-cache byte budget (0 = unlimited)
-	Shards       int    `json:"shards"`
-	ShardResizes uint64 `json:"shard_resizes"` // contention-adaptive resizes, canonical layer
-	// Raw-front layer geometry: adaptive grow/shrink is observable per
-	// layer, not just on the canonical cache.
-	RawShards       int     `json:"raw_shards"`
-	RawShardResizes uint64  `json:"raw_shard_resizes"`
-	HitRate         float64 `json:"hit_rate"`
+	Hits         uint64  `json:"hits"`
+	Misses       uint64  `json:"misses"`
+	Coalesced    uint64  `json:"coalesced"`
+	Evicted      uint64  `json:"evicted"`
+	Rejected     uint64  `json:"rejected"` // entries over a shard's whole byte budget
+	RawHits      uint64  `json:"raw_hits"`
+	RawCoalesced uint64  `json:"raw_coalesced"`
+	Size         int     `json:"size"`
+	Capacity     int     `json:"capacity"`
+	Bytes        int64   `json:"bytes"`      // resident key+body bytes, canonical layer
+	RawBytes     int64   `json:"raw_bytes"`  // resident bytes, raw-query front layer
+	MaxBytes     int64   `json:"max_bytes"`  // per-cache byte budget (0 = unlimited)
+	Shards       int     `json:"shards"`     // lock domains, canonical layer
+	RawShards    int     `json:"raw_shards"` // lock domains, raw-query front layer
+	HitRate      float64 `json:"hit_rate"`
 }
 
 // BatchStats is the /v1/statz view of the batch endpoint. Deduped counts
@@ -418,9 +384,7 @@ type BatchStats struct {
 	RawHits         uint64 `json:"raw_hits"`
 	RawBytes        int64  `json:"raw_bytes"`
 	Streamed        uint64 `json:"streamed"`
-	// Body-front layer geometry (shards gauge + resize epoch counter).
-	RawShards       int    `json:"raw_shards"`
-	RawShardResizes uint64 `json:"raw_shard_resizes"`
+	RawShards       int    `json:"raw_shards"` // lock domains, body-front layer
 }
 
 // CoalesceStats is the /v1/statz view of the admission batcher: how many
@@ -494,17 +458,14 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Evicted: ct.evicted, Rejected: ct.rejected,
 		Size: ct.size, Capacity: s.cache.capacity,
 		Bytes: ct.bytes, MaxBytes: s.cache.maxBytes,
-		Shards: ct.shards, ShardResizes: ct.resizes,
+		Shards: ct.shards,
 	}
-	if s.rawCache != nil {
-		rt := s.rawCache.counters()
-		cs.RawHits, cs.RawCoalesced, cs.RawBytes = rt.hits, rt.coalesced, rt.bytes
-		cs.RawShards, cs.RawShardResizes = rt.shards, rt.resizes
-		cs.Evicted += rt.evicted
-		cs.Rejected += rt.rejected
-		cs.Hits += rt.hits
-		cs.Coalesced += rt.coalesced
-	}
+	rt := s.rawCache.counters()
+	cs.RawHits, cs.RawCoalesced, cs.RawBytes, cs.RawShards = rt.hits, rt.coalesced, rt.bytes, rt.shards
+	cs.Evicted += rt.evicted
+	cs.Rejected += rt.rejected
+	cs.Hits += rt.hits
+	cs.Coalesced += rt.coalesced
 	if total := cs.Hits + cs.Misses + cs.Coalesced; total > 0 {
 		cs.HitRate = float64(cs.Hits+cs.Coalesced) / float64(total)
 	}
@@ -517,11 +478,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		RawHits:         s.batchRawHits.Load(),
 		Streamed:        s.batchStreamed.Load(),
 	}
-	if s.batchRawCache != nil {
-		bt := s.batchRawCache.counters()
-		bs.RawBytes = bt.bytes
-		bs.RawShards, bs.RawShardResizes = bt.shards, bt.resizes
-	}
+	bt := s.batchRawCache.counters()
+	bs.RawBytes, bs.RawShards = bt.bytes, bt.shards
 	var co CoalesceStats
 	if b := s.batcher; b != nil {
 		co = CoalesceStats{

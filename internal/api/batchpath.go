@@ -44,12 +44,6 @@ import (
 // stale per-endpoint cap behind.
 const DefaultMaxBody = 16 << 20
 
-// DefaultMaxBatchBody is the historical name of DefaultMaxBody, kept so
-// existing configuration code keeps compiling.
-//
-// Deprecated: use DefaultMaxBody.
-const DefaultMaxBatchBody = DefaultMaxBody
-
 // batchRawMinBody is the body length at which the raw body-front cache
 // engages — same rationale and value as the measure raw layer's query gate:
 // below it, decoding costs little and caching exact spellings would only
@@ -62,14 +56,11 @@ const batchRawMinBody = rawFastPathMinQuery
 // batch entries would thrash the LRU that /v1/measure hits depend on.
 const batchCacheMinProfile = 128
 
-// maxBody resolves the Server's unified POST body cap: MaxBody wins, then
-// the deprecated MaxBatchBody, then the package default.
+// maxBody resolves the Server's unified POST body cap: MaxBody, else the
+// package default.
 func (s *Server) maxBody() int {
 	if s.MaxBody > 0 {
 		return s.MaxBody
-	}
-	if s.MaxBatchBody > 0 {
-		return s.MaxBatchBody
 	}
 	return DefaultMaxBody
 }
@@ -83,20 +74,17 @@ func (s *Server) maxBody() int {
 // HTTP handler streams oversized responses instead (see batchstream.go) and
 // only takes this buffered path below the streaming threshold.
 func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
-	s.ensureBatchCaches()
-	defer s.drainResizes()
-
 	// Raw body-front lookup: for large bodies the exact bytes are a cache
 	// key checked before any decoding, so a repeated sweep costs one hash
 	// instead of a decode + evaluation. The profile count rides on the
 	// entry's meta (stored at admission), so a hit never re-parses bytes.
-	front := len(body) >= batchRawMinBody && s.batchRawCache != nil && s.batchRawCache.capacity > 0
+	front := len(body) >= batchRawMinBody && s.batchRawCache.capacity > 0
 	var key string
 	var h uint64
 	if front {
 		key = string(body)
-		h = hashString(key)
-		if resp, meta, ok := s.batchRawCache.lookupStrMeta(h, key); ok {
+		h = hashKey(key)
+		if resp, meta, ok := lookup(s.batchRawCache, h, key); ok {
 			s.batchRawHits.Add(1)
 			s.noteBatchCached(resp, meta)
 			return 200, resp, ""
@@ -110,7 +98,7 @@ func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
 	// the fill.
 	if front {
 		if sb, ok := s.spillGet(spillLayerBatch, key); ok {
-			resp, meta, _, err := s.batchRawCache.fillStrMeta(h, key, func() ([]byte, int64, error) {
+			resp, meta, _, err := fill(s.batchRawCache, h, key, func() ([]byte, int64, error) {
 				var count int64
 				if n, ok := batchCountFromBody(sb); ok {
 					count = int64(n)
@@ -135,7 +123,7 @@ func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
 	// publish valid bodies, and a herd of identical misses still evaluates
 	// once (each waiter decoded for itself, which it needed anyway to learn
 	// whether the response should stream).
-	resp, _, coalesced, err := s.batchRawCache.fillStrMeta(h, key, func() ([]byte, int64, error) {
+	resp, _, coalesced, err := fill(s.batchRawCache, h, key, func() ([]byte, int64, error) {
 		return s.renderBatchBuffered(req), int64(len(req.profiles)), nil
 	})
 	if err != nil {
@@ -145,17 +133,6 @@ func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
 		s.batchRawHits.Add(1)
 	}
 	return 200, resp, ""
-}
-
-// ensureBatchCaches lazily builds the cache layers for zero-constructed
-// Server literals (Handler does the same once for the HTTP path).
-func (s *Server) ensureBatchCaches() {
-	if s.cache == nil {
-		s.cache = newResponseCache(DefaultMeasureCacheSize)
-	}
-	if s.batchRawCache == nil {
-		s.batchRawCache = newResponseCache(s.cache.capacity)
-	}
 }
 
 // noteBatch bumps the /v1/statz batch counters for one served request of n
@@ -561,7 +538,7 @@ func (s *Server) renderBatchBuffered(req decodedBatch) []byte {
 func (s *Server) renderUnique(req decodedBatch, uniq []int) [][]byte {
 	m, profiles := req.m, req.profiles
 	frags := make([][]byte, len(uniq))
-	useCache := s.cache != nil && s.cache.capacity > 0
+	useCache := s.cache.capacity > 0
 
 	// Cache consult pass: resolve what memory already holds, so the
 	// scheduling decision below sees only the profiles that truly need
@@ -578,7 +555,7 @@ func (s *Server) renderUnique(req decodedBatch, uniq []int) [][]byte {
 			continue
 		}
 		key := string(appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p))
-		if body, ok := s.cache.lookupStr(hashString(key), key); ok {
+		if body, _, ok := lookup(s.cache, hashKey(key), key); ok {
 			s.batchCanonHits.Add(1)
 			frags[u] = body
 			continue
@@ -592,12 +569,11 @@ func (s *Server) renderUnique(req decodedBatch, uniq []int) [][]byte {
 	}
 	render := func(jb job) []byte {
 		p, echo := profiles[uniq[jb.u]], req.echoes[uniq[jb.u]]
-		eval := func(workers int) ([]byte, error) {
-			return renderMeasure(p, echo, incr.MeasureProfile(m, p, workers)), nil
+		eval := func(workers int) []byte {
+			return renderMeasure(p, echo, incr.MeasureProfile(m, p, workers))
 		}
 		if jb.key == "" {
-			body, _ := eval(1)
-			return body
+			return eval(1)
 		}
 		// Through the canonical cache: the fill populates the same entry
 		// /v1/measure serves from, and coalesces with any concurrent measure
@@ -606,8 +582,8 @@ func (s *Server) renderUnique(req decodedBatch, uniq []int) [][]byte {
 		if len(p) >= incr.ScheduleLargeCutover {
 			workers = 0
 		}
-		body, _, _ := s.cache.fillStr(hashString(jb.key), jb.key, func() ([]byte, error) {
-			return eval(workers)
+		body, _, _, _ := fill(s.cache, hashKey(jb.key), jb.key, func() ([]byte, int64, error) {
+			return eval(workers), 0, nil
 		})
 		return body
 	}
@@ -689,19 +665,4 @@ func equalProfile(a, b profile.Profile) bool {
 		}
 	}
 	return true
-}
-
-// drainResizes evaluates any pending contention-adaptive shard resizes.
-// Must run outside every cache operation (maybeResize takes the resize
-// epoch exclusively), which is why the request paths call it last.
-func (s *Server) drainResizes() {
-	if s.cache != nil {
-		s.cache.maybeResize()
-	}
-	if s.rawCache != nil {
-		s.rawCache.maybeResize()
-	}
-	if s.batchRawCache != nil {
-		s.batchRawCache.maybeResize()
-	}
 }

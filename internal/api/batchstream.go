@@ -72,14 +72,13 @@ func (s *Server) shouldStreamBatch(profiles []profile.Profile) bool {
 // bytes without decoding; on a miss the body is decoded once and the
 // work-units estimate picks the render path.
 func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []byte) {
-	s.ensureBatchCaches()
-	front := len(body) >= batchRawMinBody && s.batchRawCache != nil && s.batchRawCache.capacity > 0
+	front := len(body) >= batchRawMinBody && s.batchRawCache.capacity > 0
 	var key string
 	var h uint64
 	if front {
 		key = string(body)
-		h = hashString(key)
-		if resp, meta, ok := s.batchRawCache.lookupStrMeta(h, key); ok {
+		h = hashKey(key)
+		if resp, meta, ok := lookup(s.batchRawCache, h, key); ok {
 			s.batchRawHits.Add(1)
 			s.noteBatchCached(resp, meta)
 			writeRawJSON(w, http.StatusOK, resp)
@@ -112,7 +111,7 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 		writeRawJSON(w, http.StatusOK, s.renderBatchBuffered(req))
 		return
 	}
-	resp, _, coalesced, err := s.batchRawCache.fillStrMeta(h, key, func() ([]byte, int64, error) {
+	resp, _, coalesced, err := fill(s.batchRawCache, h, key, func() ([]byte, int64, error) {
 		return s.renderBatchBuffered(req), int64(len(req.profiles)), nil
 	})
 	if err != nil {
@@ -237,8 +236,6 @@ func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.ensureBatchCaches()
-	defer s.drainResizes()
 	// Spill tier (only when enabled — with spill off this path is
 	// byte-for-byte the historical one): serve a stored response for
 	// these exact body bytes fragment-by-fragment from the segment
@@ -394,19 +391,19 @@ func (s *Server) renderStreamFragment(scratch *[]byte, m model.Params, p profile
 	if len(p) >= incr.ScheduleLargeCutover {
 		workers = 0
 	}
-	if s.cache == nil || s.cache.capacity <= 0 || len(p) < batchCacheMinProfile {
+	if s.cache.capacity <= 0 || len(p) < batchCacheMinProfile {
 		fm := incr.MeasureProfile(m, p, workers)
 		*scratch = appendMeasureTail(appendEcho((*scratch)[:0], p, echo), fm)
 		return *scratch, false
 	}
 	key := string(appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p))
-	h := hashString(key)
-	if body, ok := s.cache.lookupStr(h, key); ok {
+	h := hashKey(key)
+	if body, _, ok := lookup(s.cache, h, key); ok {
 		s.batchCanonHits.Add(1)
 		return body, true
 	}
-	body, _, _ := s.cache.fillStr(h, key, func() ([]byte, error) {
-		return renderMeasure(p, echo, incr.MeasureProfile(m, p, workers)), nil
+	body, _, _, _ := fill(s.cache, h, key, func() ([]byte, int64, error) {
+		return renderMeasure(p, echo, incr.MeasureProfile(m, p, workers)), 0, nil
 	})
 	return body, true
 }

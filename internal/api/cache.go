@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"hetero/internal/model"
 	"hetero/internal/profile"
@@ -133,31 +131,15 @@ func parseKeyField(field string) (float64, error) {
 // hold; a single entry larger than a shard's whole byte budget is rejected
 // outright (and counted) rather than admitted to thrash the shard empty.
 //
-// Keys hash (FNV-1a) to one of a power-of-two number of shards, each with
-// its own lock, LRU list and in-flight table, so concurrent requests for
-// different keys contend only when they collide on a shard. Small caches
+// Keys hash (sampled FNV-1a, see hashKey) to one of a power-of-two number
+// of shards, each with its own lock, LRU list and in-flight table, so
+// concurrent requests for different keys contend only when they collide on
+// a shard. The shard count is fixed when the cache is built; small caches
 // collapse to one shard, which preserves the exact global-LRU semantics the
 // pre-sharding implementation had (and the tests pin).
-//
-// When adaptive sharding is on, the shard count tracks observed per-shard
-// traffic in both directions (powers of two, between the initial geometry
-// and adaptiveMaxShards): every operation that takes a shard lock bumps
-// that shard's op counter, and a shard absorbing checkEvery operations
-// since the last resize check marks the cache for a resize evaluation. A
-// window absorbed faster than hotWindow is the contention (grow) signal; a
-// slow window is a cold signal, and once no shard has run hot for
-// shrinkIdle the evaluation halves the shard count back toward the base
-// geometry — so a burst that doubled the lock domains doesn't pin them
-// forever. Resizes swap the whole shard set under resizeMu held
-// exclusively; every lookup/fill holds resizeMu shared for its full
-// duration — including the singleflight compute — so a resize can only run
-// when no evaluation is in flight and no flight entry exists. That is what
-// makes resize safe with respect to the exactly-once contract: a flight
-// table can never be orphaned mid-computation, so no key is ever evaluated
-// twice concurrently because of a resize.
 type responseCache struct {
 	// capacity is the global entry bound (the sum of per-shard bounds);
-	// ≤ 0 disables caching entirely (every Get is a miss, Put is a no-op,
+	// ≤ 0 disables caching entirely (every lookup misses, Put is a no-op,
 	// and misses are never coalesced — matching the uncached baseline).
 	capacity int
 	// maxBytes is the global byte budget over len(key)+len(body) of the
@@ -167,59 +149,8 @@ type responseCache struct {
 	// for one key run the compute closure once and share the result. Off in
 	// the single-lock baseline configuration benchserve compares against.
 	coalesce bool
-	// adaptive enables contention-adaptive shard growth; off for caches
-	// constructed with an explicit shard count, whose geometry tests pin.
-	adaptive bool
-	// maxShards bounds adaptive growth; checkEvery is the per-shard op count
-	// between resize evaluations (small values in tests force frequent
-	// resizes).
-	maxShards  int
-	checkEvery uint64
-	// baseShards is the initial shard count — the floor adaptive shrinking
-	// returns to when contention subsides.
-	baseShards int
-	// hotWindow classifies a checkEvery crossing: absorbed strictly faster
-	// than this is contention (grow), slower is cold. shrinkIdle is how long
-	// the cache must stay cold (no hot crossing anywhere) before a pending
-	// evaluation shrinks. Both are set before traffic flows; tests override
-	// them to force either direction deterministically.
-	hotWindow  time.Duration
-	shrinkIdle time.Duration
-	// lastHot is the UnixNano of the most recent hot crossing on any shard;
-	// written under a shard lock inside the shared resize epoch, read during
-	// the exclusive resize evaluation.
-	lastHot atomic.Int64
-
-	// resizeMu is the resize epoch: shared by every cache operation for its
-	// full duration, exclusive during a shard-set swap. set is only read
-	// with resizeMu held (either mode) and only written with it exclusive.
-	resizeMu sync.RWMutex
-	set      *shardSet
-	// resizePending is set by a hot shard and drained by maybeResize, which
-	// callers invoke outside any cache operation (never under resizeMu).
-	resizePending atomic.Bool
-	// resizes counts completed shard-set swaps; written under resizeMu
-	// exclusive, read under shared.
-	resizes uint64
-	// sink, when set, receives every entry evicted by the byte/entry
-	// bounds (the spill tier's evict-to-disk hook). It runs under the
-	// shard lock so it must be non-blocking and cheap; written once via
-	// setEvictSink before traffic flows, re-applied across resizes.
-	sink func(key string, body []byte)
-	// wsink, when set, receives every entry at admission time (the spill
-	// tier's write-through hook). Same contract as sink: runs under the
-	// shard lock, must be non-blocking and cheap; written once via
-	// setInsertSink before traffic flows, re-applied across resizes —
-	// but only after a migration's re-inserts, so a resize never
-	// re-offers the whole resident set to the spill queue.
-	wsink func(key string, body []byte)
-}
-
-// shardSet is one generation of the cache's lock domains; adaptive resizes
-// replace the whole set atomically under resizeMu.
-type shardSet struct {
-	shards []cacheShard
-	mask   uint64
+	shards   []cacheShard
+	mask     uint64
 }
 
 // cacheShard is one lock domain: an LRU bounded to capacity entries and
@@ -233,11 +164,12 @@ type cacheShard struct {
 	order      *list.List // front = most recently used; values are *cacheEntry
 	entries    map[string]*list.Element
 	flight     map[string]*flightCall
-	// sink mirrors responseCache.sink into the lock domain so the
-	// eviction loop can offer entries without reaching for the cache.
-	sink func(key string, body []byte)
-	// wsink mirrors responseCache.wsink (the write-through admission
-	// hook) into the lock domain for the same reason.
+	// sink, when set, receives every entry evicted by the byte/entry bounds
+	// (the spill tier's evict-to-disk hook); wsink, when set, receives every
+	// entry at admission time (the spill tier's write-through hook). Both
+	// run under the shard lock, so they must be non-blocking and cheap;
+	// installed via setEvictSink/setInsertSink before traffic flows.
+	sink  func(key string, body []byte)
 	wsink func(key string, body []byte)
 
 	hits      uint64
@@ -245,14 +177,6 @@ type cacheShard struct {
 	coalesced uint64
 	evicted   uint64
 	rejected  uint64 // entries larger than the shard's whole byte budget
-	opsSince  uint64 // ops since the last adaptive resize check
-	// windowStart is the UnixNano at which the current op window opened
-	// (the first counted op after a reset); hot records that the last
-	// window closed faster than hotWindow. Written under sh.mu, read and
-	// cleared under resizeMu held exclusively (no shard lock can be held
-	// there).
-	windowStart int64
-	hot         bool
 }
 
 type cacheEntry struct {
@@ -291,23 +215,8 @@ const (
 	// for; below it the cache stays single-sharded so tiny caches keep
 	// exact global LRU eviction order.
 	cacheMinPerShard = 8
-	// cacheMaxShards bounds the automatic initial shard count (a power of
-	// two); adaptive growth may exceed it up to adaptiveMaxShards.
+	// cacheMaxShards bounds the automatic shard count (a power of two).
 	cacheMaxShards = 16
-	// adaptiveMaxShards bounds contention-adaptive shard growth.
-	adaptiveMaxShards = 64
-	// adaptiveCheckOps is the default per-shard operation count between
-	// adaptive resize evaluations: one shard absorbing this much traffic
-	// since the last check is the "sustained contention" signal.
-	adaptiveCheckOps = 1 << 14
-	// adaptiveHotWindow classifies a checkEvery crossing: adaptiveCheckOps
-	// ops absorbed by one shard in under a second (≈16k ops/s on one lock)
-	// is contention worth splitting; anything slower is background traffic.
-	adaptiveHotWindow = time.Second
-	// adaptiveShrinkIdle is how long the cache must go without a hot
-	// crossing before pending evaluations start halving the shard count
-	// back toward the initial geometry.
-	adaptiveShrinkIdle = 30 * time.Second
 )
 
 // autoShards picks the shard count for a capacity: the largest power of two
@@ -321,112 +230,58 @@ func autoShards(capacity int) int {
 }
 
 // cacheOptions configures newCache. The zero value of maxBytes means
-// unlimited; shards 0 means automatic.
+// unlimited; shards 0 means automatic (autoShards), other values round down
+// to a power of two. shards = 1, coalesce = false reproduces the
+// pre-sharding single-lock cache exactly — the baseline configuration for
+// benchserve.
 type cacheOptions struct {
 	entries  int
 	maxBytes int64
 	shards   int
 	coalesce bool
-	adaptive bool
 }
 
-// newResponseCache returns a cache bounded to capacity entries and the
-// default byte budget, with the automatic shard count, coalescing on, and
-// adaptive sharding on; capacity ≤ 0 disables caching.
-func newResponseCache(capacity int) *responseCache {
-	return newCache(cacheOptions{
-		entries:  capacity,
-		maxBytes: DefaultCacheBytes,
-		coalesce: true,
-		adaptive: true,
-	})
-}
-
-// newResponseCacheOpts returns a cache with an explicit shard count (0 means
-// automatic; other values round down to a power of two) and coalescing
-// toggle. shards = 1, coalesce = false reproduces the pre-sharding
-// single-lock cache exactly — the baseline configuration for benchserve.
-// Explicit shard counts disable adaptive resizing so the geometry stays
-// pinned.
-func newResponseCacheOpts(capacity, shards int, coalesce bool) *responseCache {
-	return newCache(cacheOptions{
-		entries:  capacity,
-		maxBytes: DefaultCacheBytes,
-		shards:   shards,
-		coalesce: coalesce,
-		adaptive: shards == 0,
-	})
-}
-
-// newCache builds a responseCache from options.
+// newCache builds a responseCache, distributing the global entry and byte
+// bounds across its shards (remainders go to the first shards, so the
+// per-shard bounds sum exactly to the global ones). entries ≤ 0 builds a
+// disabled cache: one counter-only shard so Stats still works.
 func newCache(o cacheOptions) *responseCache {
-	c := &responseCache{
-		capacity:   o.entries,
-		maxBytes:   o.maxBytes,
-		coalesce:   o.coalesce,
-		adaptive:   o.adaptive,
-		maxShards:  adaptiveMaxShards,
-		checkEvery: adaptiveCheckOps,
-		hotWindow:  adaptiveHotWindow,
-		shrinkIdle: adaptiveShrinkIdle,
-	}
-	c.lastHot.Store(time.Now().UnixNano())
+	c := &responseCache{capacity: o.entries, maxBytes: o.maxBytes, coalesce: o.coalesce}
+	shards := 1
 	if o.entries <= 0 {
-		// Disabled: one counter-only shard so Stats still works.
-		c.adaptive = false
-		c.baseShards = 1
-		c.set = newShardSet(0, 0, 1)
-		return c
-	}
-	shards := o.shards
-	if shards <= 0 {
+		o.entries, o.maxBytes = 0, 0
+	} else if o.shards <= 0 {
 		shards = autoShards(o.entries)
+	} else {
+		for shards*2 <= o.shards {
+			shards *= 2
+		}
 	}
-	pow2 := 1
-	for pow2*2 <= shards {
-		pow2 *= 2
-	}
-	c.baseShards = pow2
-	c.set = newShardSet(o.entries, o.maxBytes, pow2)
-	return c
-}
-
-// newShardSet distributes the global entry and byte bounds across shards,
-// giving remainders to the first shards so the per-shard bounds sum exactly
-// to the global ones.
-func newShardSet(capacity int, maxBytes int64, shards int) *shardSet {
-	set := &shardSet{
-		shards: make([]cacheShard, shards),
-		mask:   uint64(shards - 1),
-	}
-	base, rem := capacity/shards, capacity%shards
+	c.shards = make([]cacheShard, shards)
+	c.mask = uint64(shards - 1)
+	base, rem := o.entries/shards, o.entries%shards
 	var byteBase, byteRem int64
-	if maxBytes > 0 {
-		byteBase, byteRem = maxBytes/int64(shards), maxBytes%int64(shards)
+	if o.maxBytes > 0 {
+		byteBase, byteRem = o.maxBytes/int64(shards), o.maxBytes%int64(shards)
 	}
-	for i := range set.shards {
-		cap := base
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.capacity = base
 		if i < rem {
-			cap++
+			sh.capacity++
 		}
-		if cap < 1 && capacity > 0 {
-			cap = 1
+		if sh.capacity < 1 && o.entries > 0 {
+			sh.capacity = 1
 		}
-		budget := byteBase
-		if maxBytes > 0 && int64(i) < byteRem {
-			budget++
+		sh.byteBudget = byteBase
+		if int64(i) < byteRem {
+			sh.byteBudget++
 		}
-		set.shards[i].init(cap, budget)
+		sh.order = list.New()
+		sh.entries = make(map[string]*list.Element)
+		sh.flight = make(map[string]*flightCall)
 	}
-	return set
-}
-
-func (sh *cacheShard) init(capacity int, byteBudget int64) {
-	sh.capacity = capacity
-	sh.byteBudget = byteBudget
-	sh.order = list.New()
-	sh.entries = make(map[string]*list.Element)
-	sh.flight = make(map[string]*flightCall)
+	return c
 }
 
 const (
@@ -448,41 +303,11 @@ const (
 	hashSampleProbes = 16
 )
 
-// hashKey hashes the key bytes for shard selection: FNV-1a over the whole
-// key up to hashSampleCutoff, a fixed-size head+tail+stride sample beyond
-// it. hashKey and hashString must agree on equal content — adaptive resizes
-// rehash resident entries through hashString while the hot path arrives
-// through hashKey.
-func hashKey(key []byte) uint64 {
-	n := len(key)
-	if n <= hashSampleCutoff {
-		h := uint64(fnvOffset64)
-		for _, b := range key {
-			h ^= uint64(b)
-			h *= fnvPrime64
-		}
-		return h
-	}
-	h := uint64(fnvOffset64) ^ uint64(n)
-	h *= fnvPrime64
-	for _, b := range key[:hashSampleHead] {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	for _, b := range key[n-hashSampleTail:] {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	stride := (n - hashSampleHead - hashSampleTail) / hashSampleProbes
-	for i := 0; i < hashSampleProbes; i++ {
-		h ^= uint64(key[hashSampleHead+i*stride])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// hashString is hashKey over a string — identical sampling, no conversion.
-func hashString(key string) uint64 {
+// hashKey hashes a key for shard (and fleet-owner) selection: FNV-1a over
+// the whole key up to hashSampleCutoff, a fixed-size head+tail+stride sample
+// beyond it. Equal content hashes equally whether it arrives as bytes or as
+// a string.
+func hashKey[K string | []byte](key K) uint64 {
 	n := len(key)
 	if n <= hashSampleCutoff {
 		h := uint64(fnvOffset64)
@@ -510,247 +335,75 @@ func hashString(key string) uint64 {
 	return h
 }
 
-// countOpLocked bumps the shard's adaptive-resize op counter; callers hold
-// sh.mu. When the shard has absorbed checkEvery ops it flags the cache for
-// a resize evaluation (performed later, outside the resize epoch, by
-// maybeResize), recording whether the window closed fast enough to count as
-// contention. The clock is read twice per window — once opening it, once
-// closing — which is once per checkEvery/2 ops, invisible on the hot path.
-func (c *responseCache) countOpLocked(sh *cacheShard) {
-	if !c.adaptive {
-		return
-	}
-	if sh.opsSince == 0 {
-		sh.windowStart = time.Now().UnixNano()
-	}
-	sh.opsSince++
-	if sh.opsSince >= c.checkEvery {
-		sh.opsSince = 0
-		now := time.Now().UnixNano()
-		if now-sh.windowStart < int64(c.hotWindow) {
-			sh.hot = true
-			c.lastHot.Store(now)
-		}
-		c.resizePending.Store(true)
-	}
-}
-
-// resizeNeeded reports whether a resize evaluation is pending — one atomic
-// load, cheap enough for the zero-allocation hot path to poll.
-func (c *responseCache) resizeNeeded() bool {
-	return c.adaptive && c.resizePending.Load()
-}
-
-// maybeResize evaluates a pending adaptive resize and performs it. It must
-// be called OUTSIDE any cache operation (never while the caller holds the
-// shared resize epoch), because it takes resizeMu exclusively. A hot shard
-// (a checkEvery window absorbed inside hotWindow) doubles the shard count
-// while per-shard entry capacity stays at least cacheMinPerShard and the
-// count stays under maxShards; an evaluation with no hot shard — traffic
-// still flows, just slowly — halves the count back toward baseShards once
-// the whole cache has been cold for shrinkIdle. Either way entries migrate
-// cold-to-hot so per-shard recency survives, and counters carry over.
-// Because every fill holds the epoch shared across its compute, the flight
-// tables are provably empty here — no in-flight evaluation can be orphaned,
-// so a resize can never cause a key to be evaluated twice.
-func (c *responseCache) maybeResize() {
-	// Load before CAS keeps the common no-resize poll read-only.
-	if !c.adaptive || !c.resizePending.Load() || !c.resizePending.CompareAndSwap(true, false) {
-		return
-	}
-	c.resizeMu.Lock()
-	defer c.resizeMu.Unlock()
-	old := c.set
-	n := len(old.shards)
-	hot := false
-	for i := range old.shards {
-		if old.shards[i].hot {
-			hot = true
-			old.shards[i].hot = false
-		}
-	}
-	if hot {
-		if 2*n > c.maxShards || c.capacity/(2*n) < cacheMinPerShard {
-			return
-		}
-		c.set = c.migrate(old, 2*n)
-		c.resizes++
-		return
-	}
-	if n <= c.baseShards {
-		return
-	}
-	if time.Now().UnixNano()-c.lastHot.Load() < int64(c.shrinkIdle) {
-		return
-	}
-	c.set = c.migrate(old, n/2)
-	c.resizes++
-}
-
-// migrate rebuilds the shard set at a new shard count, rehashing every
-// resident entry (cold-to-hot per source shard, so recency is preserved
-// within each destination) and folding the old counters into the new
-// shards. Callers hold resizeMu exclusively, which guarantees every flight
-// table is empty and no shard lock is held.
-func (c *responseCache) migrate(old *shardSet, shards int) *shardSet {
-	set := newShardSet(c.capacity, c.maxBytes, shards)
-	for i := range set.shards {
-		set.shards[i].sink = c.sink
-	}
-	for i := range old.shards {
-		osh := &old.shards[i]
-		for el := osh.order.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*cacheEntry)
-			dst := &set.shards[hashString(e.key)&set.mask]
-			dst.insertLocked(e.key, e.body, e.meta)
-		}
-		// Counters are reported as sums over shards; folding each source
-		// shard into its index-aligned destination keeps them exact.
-		dst := &set.shards[uint64(i)&set.mask]
-		dst.hits += osh.hits
-		dst.misses += osh.misses
-		dst.coalesced += osh.coalesced
-		dst.evicted += osh.evicted
-		dst.rejected += osh.rejected
-	}
-	// Install the write-through sink only after the re-inserts above so a
-	// shard-count change doesn't replay the whole resident set into the
-	// spill queue (it is already on disk or on its way there).
-	for i := range set.shards {
-		set.shards[i].wsink = c.wsink
-	}
-	return set
-}
-
 func (c *responseCache) shard(h uint64) *cacheShard {
-	set := c.set
-	return &set.shards[h&set.mask]
+	return &c.shards[h&c.mask]
 }
 
-// lookup returns the cached body for the key bytes, counting a hit when
-// found. Misses are NOT counted here — the fill that follows counts them —
-// so the lookup+fill hot path counts each evaluation exactly once. The hit
-// path performs no allocation: the map is probed via the compiler's
-// string(bytes) lookup optimization.
-func (c *responseCache) lookup(h uint64, key []byte) ([]byte, bool) {
+// lookup returns the cached body and admission-time meta for key (h =
+// hashKey(key)), counting a hit when found. Misses are NOT counted here —
+// the fill that follows counts them — so the lookup+fill path counts each
+// evaluation exactly once. It takes exactly one lock and performs no
+// allocation: a []byte key probes the map via the compiler's string(bytes)
+// lookup optimization.
+func lookup[K string | []byte](c *responseCache, h uint64, key K) (body []byte, meta int64, ok bool) {
 	if c.capacity <= 0 {
-		return nil, false
+		return nil, 0, false
 	}
-	c.resizeMu.RLock()
-	defer c.resizeMu.RUnlock()
 	sh := c.shard(h)
 	sh.mu.Lock()
 	el, ok := sh.entries[string(key)]
-	if !ok {
-		sh.mu.Unlock()
-		return nil, false
+	if ok {
+		sh.hits++
+		sh.order.MoveToFront(el)
+		e := el.Value.(*cacheEntry)
+		body, meta = e.body, e.meta
 	}
-	sh.hits++
-	c.countOpLocked(sh)
-	sh.order.MoveToFront(el)
-	body := el.Value.(*cacheEntry).body
 	sh.mu.Unlock()
-	return body, true
+	return body, meta, ok
 }
 
-// lookupStr is lookup for callers that already hold the key as a string —
-// the raw-query front layer, whose key is the unparsed RawQuery itself. The
-// hit path performs no allocation.
-func (c *responseCache) lookupStr(h uint64, key string) ([]byte, bool) {
+// fill completes a miss: it re-checks the entry under the shard lock, joins
+// an in-flight computation for the same key when coalescing is on, or runs
+// compute itself and publishes the result. compute returns the body plus an
+// opaque meta value stored with the entry and handed back to every hit,
+// waiter and the computing caller — so derived facts (the batch raw front's
+// profile count) survive without re-parsing cached bytes. The returned
+// coalesced flag reports that this call waited on another goroutine's
+// evaluation. Errors are propagated to every waiter and nothing is cached.
+func fill[K string | []byte](c *responseCache, h uint64, key K, compute func() ([]byte, int64, error)) (body []byte, meta int64, coalesced bool, err error) {
 	if c.capacity <= 0 {
-		return nil, false
-	}
-	c.resizeMu.RLock()
-	defer c.resizeMu.RUnlock()
-	sh := c.shard(h)
-	sh.mu.Lock()
-	el, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.hits++
-	c.countOpLocked(sh)
-	sh.order.MoveToFront(el)
-	body := el.Value.(*cacheEntry).body
-	sh.mu.Unlock()
-	return body, true
-}
-
-// fillStr is fill for string keys (see lookupStr); identical semantics.
-func (c *responseCache) fillStr(h uint64, key string, compute func() ([]byte, error)) (body []byte, coalesced bool, err error) {
-	body, _, coalesced, err = c.fillStrMeta(h, key, func() ([]byte, int64, error) {
-		b, err := compute()
-		return b, 0, err
-	})
-	return body, coalesced, err
-}
-
-// lookupStrMeta is lookupStr returning the admission-time meta value stored
-// with the entry alongside the body.
-func (c *responseCache) lookupStrMeta(h uint64, key string) ([]byte, int64, bool) {
-	if c.capacity <= 0 {
-		return nil, 0, false
-	}
-	c.resizeMu.RLock()
-	defer c.resizeMu.RUnlock()
-	sh := c.shard(h)
-	sh.mu.Lock()
-	el, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
-		return nil, 0, false
-	}
-	sh.hits++
-	c.countOpLocked(sh)
-	sh.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	body, meta := e.body, e.meta
-	sh.mu.Unlock()
-	return body, meta, true
-}
-
-// fillStrMeta is the string-keyed fill core: compute returns the body plus
-// an opaque meta value stored with the entry and handed back to every hit,
-// waiter, and the computing caller — so derived facts (the batch raw front's
-// profile count) survive without re-parsing cached bytes.
-func (c *responseCache) fillStrMeta(h uint64, key string, compute func() ([]byte, int64, error)) (body []byte, meta int64, coalesced bool, err error) {
-	if c.capacity <= 0 {
-		sh := &c.set.shards[0]
+		sh := &c.shards[0]
 		sh.mu.Lock()
 		sh.misses++
 		sh.mu.Unlock()
 		body, meta, err = compute()
 		return body, meta, false, err
 	}
-	c.resizeMu.RLock()
-	defer c.resizeMu.RUnlock()
 	sh := c.shard(h)
 	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
+	// Re-check: another goroutine may have published between our lookup miss
+	// and this lock acquisition.
+	if el, ok := sh.entries[string(key)]; ok {
 		sh.hits++
-		c.countOpLocked(sh)
 		sh.order.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
-		body, meta = e.body, e.meta
 		sh.mu.Unlock()
-		return body, meta, false, nil
+		return e.body, e.meta, false, nil
 	}
 	if c.coalesce {
-		if fc, ok := sh.flight[key]; ok {
+		if fc, ok := sh.flight[string(key)]; ok {
 			sh.coalesced++
-			c.countOpLocked(sh)
 			sh.mu.Unlock()
 			<-fc.done
 			return fc.body, fc.meta, true, fc.err
 		}
 	}
 	sh.misses++
-	c.countOpLocked(sh)
+	k := string(key)
 	var fc *flightCall
 	if c.coalesce {
 		fc = &flightCall{done: make(chan struct{})}
-		sh.flight[key] = fc
+		sh.flight[k] = fc
 	}
 	sh.mu.Unlock()
 
@@ -758,10 +411,10 @@ func (c *responseCache) fillStrMeta(h uint64, key string, compute func() ([]byte
 
 	sh.mu.Lock()
 	if fc != nil {
-		delete(sh.flight, key)
+		delete(sh.flight, k)
 	}
 	if err == nil {
-		sh.insertLocked(key, body, meta)
+		sh.insertLocked(k, body, meta)
 	}
 	sh.mu.Unlock()
 	if fc != nil {
@@ -769,71 +422,6 @@ func (c *responseCache) fillStrMeta(h uint64, key string, compute func() ([]byte
 		close(fc.done)
 	}
 	return body, meta, false, err
-}
-
-// fill completes a miss: it re-checks the entry under the shard lock, joins
-// an in-flight computation for the same key when coalescing is on, or runs
-// compute itself and publishes the result. The returned coalesced flag
-// reports that this call waited on another goroutine's evaluation. Errors
-// are propagated to every waiter and nothing is cached. The whole call —
-// including compute — runs inside the shared resize epoch, so an adaptive
-// resize can never interleave with an in-flight evaluation.
-func (c *responseCache) fill(h uint64, key []byte, compute func() ([]byte, error)) (body []byte, coalesced bool, err error) {
-	if c.capacity <= 0 {
-		sh := &c.set.shards[0]
-		sh.mu.Lock()
-		sh.misses++
-		sh.mu.Unlock()
-		body, err = compute()
-		return body, false, err
-	}
-	c.resizeMu.RLock()
-	defer c.resizeMu.RUnlock()
-	sh := c.shard(h)
-	sh.mu.Lock()
-	// Re-check: another goroutine may have published between our lookup miss
-	// and this lock acquisition.
-	if el, ok := sh.entries[string(key)]; ok {
-		sh.hits++
-		c.countOpLocked(sh)
-		sh.order.MoveToFront(el)
-		body = el.Value.(*cacheEntry).body
-		sh.mu.Unlock()
-		return body, false, nil
-	}
-	if c.coalesce {
-		if fc, ok := sh.flight[string(key)]; ok {
-			sh.coalesced++
-			c.countOpLocked(sh)
-			sh.mu.Unlock()
-			<-fc.done
-			return fc.body, true, fc.err
-		}
-	}
-	sh.misses++
-	c.countOpLocked(sh)
-	var fc *flightCall
-	if c.coalesce {
-		fc = &flightCall{done: make(chan struct{})}
-		sh.flight[string(key)] = fc
-	}
-	sh.mu.Unlock()
-
-	body, err = compute()
-
-	sh.mu.Lock()
-	if fc != nil {
-		delete(sh.flight, string(key))
-	}
-	if err == nil {
-		sh.insertLocked(string(key), body, 0)
-	}
-	sh.mu.Unlock()
-	if fc != nil {
-		fc.body, fc.err = body, err
-		close(fc.done)
-	}
-	return body, false, err
 }
 
 // insertLocked stores body (and its admission-time meta value) under key in
@@ -890,39 +478,18 @@ func (sh *cacheShard) removeLocked(el *list.Element) {
 	sh.bytes -= entryCost(e.key, e.body)
 }
 
-// Get returns the cached body for key, counting the hit or miss — the
-// string-keyed convenience wrapper the tests and non-hot callers use.
-func (c *responseCache) Get(key string) ([]byte, bool) {
-	kb := []byte(key)
-	h := hashKey(kb)
-	if body, ok := c.lookup(h, kb); ok {
-		return body, true
-	}
-	c.resizeMu.RLock()
-	sh := c.shard(h)
-	sh.mu.Lock()
-	sh.misses++
-	c.countOpLocked(sh)
-	sh.mu.Unlock()
-	c.resizeMu.RUnlock()
-	c.maybeResize()
-	return nil, false
-}
-
-// Put stores body under key, evicting least recently used entries of the
-// key's shard while over either bound.
+// Put stores body under key (replacing any entry there), evicting least
+// recently used entries of the key's shard while over either bound — the
+// peer-put path's admission, which has the bytes already and no flight to
+// join.
 func (c *responseCache) Put(key string, body []byte) {
 	if c.capacity <= 0 {
 		return
 	}
-	c.resizeMu.RLock()
-	sh := c.shard(hashKey([]byte(key)))
+	sh := c.shard(hashKey(key))
 	sh.mu.Lock()
 	sh.insertLocked(key, body, 0)
-	c.countOpLocked(sh)
 	sh.mu.Unlock()
-	c.resizeMu.RUnlock()
-	c.maybeResize()
 }
 
 // cacheCounters is the full statistics snapshot of a cache, summed over
@@ -936,18 +503,14 @@ type cacheCounters struct {
 	size      int
 	bytes     int64
 	shards    int
-	resizes   uint64
 }
 
 // counters snapshots every counter, the occupancy (entries and resident
-// bytes), and the sharding geometry.
+// bytes), and the shard count.
 func (c *responseCache) counters() cacheCounters {
-	c.resizeMu.RLock()
-	defer c.resizeMu.RUnlock()
-	set := c.set
-	out := cacheCounters{shards: len(set.shards), resizes: c.resizes}
-	for i := range set.shards {
-		sh := &set.shards[i]
+	out := cacheCounters{shards: len(c.shards)}
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
 		out.hits += sh.hits
 		out.misses += sh.misses
@@ -975,29 +538,28 @@ func (c *responseCache) statsFull() (hits, misses uint64, size int, coalesced, e
 	return ct.hits, ct.misses, ct.size, ct.coalesced, ct.evicted
 }
 
-// setEvictSink installs fn as the eviction sink on every current shard
-// and records it for future resizes. fn runs under a shard lock: it must
-// be non-blocking (the spill tier hands off to a bounded queue). Install
-// before traffic flows.
+// setEvictSink installs fn as every shard's eviction sink. fn runs under a
+// shard lock: it must be non-blocking (the spill tier hands off to a
+// bounded queue). Install before traffic flows.
 func (c *responseCache) setEvictSink(fn func(key string, body []byte)) {
-	c.resizeMu.Lock()
-	defer c.resizeMu.Unlock()
-	c.sink = fn
-	for i := range c.set.shards {
-		c.set.shards[i].sink = fn
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		sh.sink = fn
+		sh.mu.Unlock()
 	}
 }
 
-// setInsertSink installs fn as the write-through admission sink on every
-// current shard and records it for future resizes. Same contract as
-// setEvictSink: fn runs under a shard lock and must be non-blocking (the
-// spill tier hands off to a bounded queue). Install before traffic flows.
+// setInsertSink installs fn as every shard's write-through admission sink.
+// Same contract as setEvictSink: fn runs under a shard lock and must be
+// non-blocking (the spill tier hands off to a bounded queue). Install
+// before traffic flows.
 func (c *responseCache) setInsertSink(fn func(key string, body []byte)) {
-	c.resizeMu.Lock()
-	defer c.resizeMu.Unlock()
-	c.wsink = fn
-	for i := range c.set.shards {
-		c.set.shards[i].wsink = fn
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		sh.wsink = fn
+		sh.mu.Unlock()
 	}
 }
 
@@ -1008,10 +570,8 @@ func (c *responseCache) setInsertSink(fn func(key string, body []byte)) {
 // them after forEachEntry returns. Bodies are immutable once admitted, so
 // holding the references afterwards is safe.
 func (c *responseCache) forEachEntry(fn func(key string, body []byte) bool) {
-	c.resizeMu.RLock()
-	defer c.resizeMu.RUnlock()
-	for i := range c.set.shards {
-		sh := &c.set.shards[i]
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
 		for el := sh.order.Front(); el != nil; el = el.Next() {
 			e := el.Value.(*cacheEntry)
@@ -1022,13 +582,4 @@ func (c *responseCache) forEachEntry(fn func(key string, body []byte) bool) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// Shards reports how many lock domains the cache has (1 when disabled or
-// small); under adaptive sharding the count grows and shrinks with observed
-// contention over the cache's lifetime.
-func (c *responseCache) Shards() int {
-	c.resizeMu.RLock()
-	defer c.resizeMu.RUnlock()
-	return len(c.set.shards)
 }

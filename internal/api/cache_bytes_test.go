@@ -3,9 +3,6 @@ package api
 import (
 	"bytes"
 	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -84,7 +81,7 @@ func TestCacheUpdateInPlaceAdjustsBytes(t *testing.T) {
 // rejections doing the bounding — not growth.
 func TestServerCacheStaysUnderByteBudget(t *testing.T) {
 	const budget = 64 << 10
-	s := NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: budget, Coalesce: true, Adaptive: true})
+	s := NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: budget, Coalesce: true})
 	checkBudgets := func(step string) {
 		t.Helper()
 		for name, c := range map[string]*responseCache{
@@ -130,215 +127,5 @@ func TestServerCacheStaysUnderByteBudget(t *testing.T) {
 	}
 	if canon.rejected == 0 {
 		t.Fatal("no rejections from over-budget large-n entries")
-	}
-}
-
-// TestAdaptiveResizeExactlyOnce is the -race stress contract for
-// contention-adaptive sharding: with checkEvery forced tiny so resizes
-// interleave aggressively with lookups and fills, every key must still be
-// computed exactly once, every cached body must survive migration intact,
-// and the per-op counters must reconcile to the op count across resizes.
-func TestAdaptiveResizeExactlyOnce(t *testing.T) {
-	const (
-		keyspace   = 512
-		goroutines = 8
-		iters      = 400
-	)
-	c := newCache(cacheOptions{entries: 4096, maxBytes: DefaultCacheBytes, coalesce: true, adaptive: true})
-	c.checkEvery = 8 // force frequent resize evaluations
-	startShards := c.Shards()
-	var evals [keyspace]atomic.Int64
-	bodyFor := func(k int) []byte { return []byte(fmt.Sprintf(`{"key":%d}`, k)) }
-	keyFor := func(k int) string { return fmt.Sprintf("stress|%04d", k) }
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				// Strided so goroutine g covers every residue ≡ g (mod
-				// goroutines): the union provably visits all keyspace keys.
-				k := (g + it*goroutines) % keyspace
-				key := keyFor(k)
-				h := hashString(key)
-				body, ok := c.lookupStr(h, key)
-				if !ok {
-					var err error
-					body, _, err = c.fillStr(h, key, func() ([]byte, error) {
-						evals[k].Add(1)
-						return bodyFor(k), nil
-					})
-					if err != nil {
-						t.Errorf("fill %s: %v", key, err)
-						return
-					}
-				}
-				if !bytes.Equal(body, bodyFor(k)) {
-					t.Errorf("key %s served wrong body %q", key, body)
-					return
-				}
-				c.maybeResize()
-			}
-		}(g)
-	}
-	wg.Wait()
-	for k := range evals {
-		if n := evals[k].Load(); n != 1 {
-			t.Fatalf("key %d evaluated %d times, want exactly once", k, n)
-		}
-	}
-	ct := c.counters()
-	if ct.resizes == 0 || ct.shards <= startShards {
-		t.Fatalf("no adaptive growth happened (resizes %d, shards %d→%d): the stress is vacuous",
-			ct.resizes, startShards, ct.shards)
-	}
-	if ct.shards > adaptiveMaxShards {
-		t.Fatalf("shards %d exceed adaptiveMaxShards %d", ct.shards, adaptiveMaxShards)
-	}
-	// Migration preserved every entry (capacity ≫ keyspace, so nothing was
-	// legitimately evicted) and the counters reconcile exactly.
-	if ct.size != keyspace || ct.evicted != 0 || ct.rejected != 0 {
-		t.Fatalf("size %d evicted %d rejected %d, want %d/0/0", ct.size, ct.evicted, ct.rejected, keyspace)
-	}
-	if total := ct.hits + ct.misses + ct.coalesced; total != goroutines*iters {
-		t.Fatalf("counters lost across migration: hits+misses+coalesced = %d, want %d", total, goroutines*iters)
-	}
-	for k := 0; k < keyspace; k++ {
-		if body, ok := c.Get(keyFor(k)); !ok || !bytes.Equal(body, bodyFor(k)) {
-			t.Fatalf("key %d lost or corrupted by migration", k)
-		}
-	}
-}
-
-// TestAdaptiveShardShrink: shard growth driven by a contention burst must
-// reverse once the burst subsides — same traffic volume, but windows now
-// close slowly (hotWindow 0 makes every crossing cold) and the idle
-// threshold is already met, so pending evaluations halve the shard count
-// back to the initial geometry without losing entries.
-func TestAdaptiveShardShrink(t *testing.T) {
-	c := newCache(cacheOptions{entries: 4096, maxBytes: DefaultCacheBytes, coalesce: true, adaptive: true})
-	c.checkEvery = 8
-	base := c.Shards()
-	for i := 0; i < 4096; i++ {
-		c.Put(fmt.Sprintf("burst%d", i), []byte("x"))
-		c.maybeResize()
-	}
-	grown := c.Shards()
-	if grown <= base {
-		t.Fatalf("no growth under hot traffic (%d → %d): the shrink test is vacuous", base, grown)
-	}
-	c.hotWindow = 0  // every window now reads as cold
-	c.shrinkIdle = 0 // and the cache counts as idle immediately
-	for i := 0; i < 4096 && c.Shards() > base; i++ {
-		c.Get(fmt.Sprintf("burst%d", i%64))
-		c.maybeResize()
-	}
-	if got := c.Shards(); got != base {
-		t.Fatalf("shards stuck at %d after contention subsided, want base %d", got, base)
-	}
-	if body, ok := c.Get("burst4095"); !ok || !bytes.Equal(body, []byte("x")) {
-		t.Fatal("entry lost or corrupted by downward migration")
-	}
-	if c.counters().resizes < 2 {
-		t.Fatalf("resizes %d cannot cover growth and shrink", c.counters().resizes)
-	}
-}
-
-// TestAdaptiveShrinkExactlyOnce is the -race contract for downward resizes:
-// with every window forced cold while goroutines lookup/fill a shared
-// keyspace, migrations to fewer shards must interleave with the singleflight
-// protocol without a key ever being evaluated twice, a body corrupted, or a
-// counter lost.
-func TestAdaptiveShrinkExactlyOnce(t *testing.T) {
-	const (
-		keyspace   = 256
-		goroutines = 8
-		iters      = 300
-	)
-	c := newCache(cacheOptions{entries: 4096, maxBytes: DefaultCacheBytes, coalesce: true, adaptive: true})
-	c.checkEvery = 8
-	base := c.Shards()
-	for i := 0; i < 2048; i++ {
-		c.Put(fmt.Sprintf("warm%d", i), []byte("w"))
-		c.maybeResize()
-	}
-	grown := c.Shards()
-	if grown <= base {
-		t.Fatalf("no growth before the shrink stress (%d → %d)", base, grown)
-	}
-	preOps := c.counters()
-	c.hotWindow = 0
-	c.shrinkIdle = 0
-	var evals [keyspace]atomic.Int64
-	bodyFor := func(k int) []byte { return []byte(fmt.Sprintf(`{"cold":%d}`, k)) }
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				k := (g + it*goroutines) % keyspace
-				key := fmt.Sprintf("cold|%04d", k)
-				h := hashString(key)
-				body, ok := c.lookupStr(h, key)
-				if !ok {
-					var err error
-					body, _, err = c.fillStr(h, key, func() ([]byte, error) {
-						evals[k].Add(1)
-						return bodyFor(k), nil
-					})
-					if err != nil {
-						t.Errorf("fill %s: %v", key, err)
-						return
-					}
-				}
-				if !bytes.Equal(body, bodyFor(k)) {
-					t.Errorf("key %s served wrong body %q", key, body)
-					return
-				}
-				c.maybeResize()
-			}
-		}(g)
-	}
-	wg.Wait()
-	for k := range evals {
-		if n := evals[k].Load(); n != 1 {
-			t.Fatalf("key %d evaluated %d times across shrinks, want exactly once", k, n)
-		}
-	}
-	got := c.Shards()
-	if got >= grown || got < base {
-		t.Fatalf("shards %d after cold stress, want in [%d, %d)", got, base, grown)
-	}
-	ct := c.counters()
-	if delta := (ct.hits + ct.misses + ct.coalesced) - (preOps.hits + preOps.misses + preOps.coalesced); delta != goroutines*iters {
-		t.Fatalf("counters lost across downward migration: delta %d, want %d", delta, goroutines*iters)
-	}
-}
-
-// TestAdaptiveResizeRespectsFloors: growth must stop when halving per-shard
-// capacity would drop below cacheMinPerShard, and explicit shard counts must
-// never resize.
-func TestAdaptiveResizeRespectsFloors(t *testing.T) {
-	c := newCache(cacheOptions{entries: 32, maxBytes: 0, coalesce: true, adaptive: true})
-	c.checkEvery = 1
-	// entries=32 starts at 4 shards (8 entries each). Growing to 8 shards
-	// would leave 4 < cacheMinPerShard entries per shard, so every pending
-	// resize must be a no-op.
-	for i := 0; i < 100; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte(strings.Repeat("z", 8)))
-		c.maybeResize()
-	}
-	if got := c.Shards(); got > 32/cacheMinPerShard {
-		t.Fatalf("shards %d violate the %d-entry-per-shard floor", got, cacheMinPerShard)
-	}
-	fixed := newCache(cacheOptions{entries: 4096, maxBytes: 0, shards: 2, coalesce: true})
-	fixed.checkEvery = 1
-	for i := 0; i < 100; i++ {
-		fixed.Put(fmt.Sprintf("k%d", i), []byte("body"))
-		fixed.maybeResize()
-	}
-	if got := fixed.Shards(); got != 2 {
-		t.Fatalf("explicitly sharded cache resized to %d shards", got)
 	}
 }

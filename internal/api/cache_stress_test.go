@@ -21,7 +21,7 @@ func TestSingleflightExactlyOnceUnderSkew(t *testing.T) {
 		goroutines = 32
 		iters      = 200
 	)
-	c := newResponseCacheOpts(1024, 8, true)
+	c := newCache(cacheOptions{entries: 1024, maxBytes: DefaultCacheBytes, shards: 8, coalesce: true})
 	var evals [keys]atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -37,14 +37,14 @@ func TestSingleflightExactlyOnceUnderSkew(t *testing.T) {
 				key := []byte(fmt.Sprintf("key-%03d", k))
 				want := fmt.Sprintf("body-%03d", k)
 				h := hashKey(key)
-				body, ok := c.lookup(h, key)
+				body, _, ok := lookup(c, h, key)
 				if !ok {
 					var coalesced bool
 					var err error
-					body, coalesced, err = c.fill(h, key, func() ([]byte, error) {
+					body, _, coalesced, err = fill(c, h, key, func() ([]byte, int64, error) {
 						evals[k].Add(1)
 						time.Sleep(time.Millisecond) // widen the coalescing window
-						return []byte(want), nil
+						return []byte(want), 0, nil
 					})
 					_ = coalesced
 					if err != nil {
@@ -85,17 +85,17 @@ func TestSingleflightExactlyOnceUnderSkew(t *testing.T) {
 // half of the exactly-once contract: eviction ends a generation, so the
 // next request for the key legitimately evaluates again.
 func TestSingleflightReevaluatesAfterEviction(t *testing.T) {
-	c := newResponseCacheOpts(1, 1, true)
+	c := newCache(cacheOptions{entries: 1, maxBytes: DefaultCacheBytes, shards: 1, coalesce: true})
 	var evals atomic.Int64
 	get := func(key string) {
 		kb := []byte(key)
 		h := hashKey(kb)
-		if _, ok := c.lookup(h, kb); ok {
+		if _, _, ok := lookup(c, h, kb); ok {
 			return
 		}
-		if _, _, err := c.fill(h, kb, func() ([]byte, error) {
+		if _, _, _, err := fill(c, h, kb, func() ([]byte, int64, error) {
 			evals.Add(1)
-			return []byte(key), nil
+			return []byte(key), 0, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -121,9 +121,9 @@ func TestShardedCacheConcurrentEvictionBounds(t *testing.T) {
 		goroutines = 16
 		iters      = 400
 	)
-	c := newResponseCacheOpts(capacity, 8, true)
-	if c.Shards() != 8 {
-		t.Fatalf("shards = %d, want 8", c.Shards())
+	c := newCache(cacheOptions{entries: capacity, maxBytes: DefaultCacheBytes, shards: 8, coalesce: true})
+	if len(c.shards) != 8 {
+		t.Fatalf("shards = %d, want 8", len(c.shards))
 	}
 	var requests atomic.Uint64
 	var wg sync.WaitGroup
@@ -137,11 +137,11 @@ func TestShardedCacheConcurrentEvictionBounds(t *testing.T) {
 				want := fmt.Sprintf("body-%04d", k)
 				h := hashKey(key)
 				requests.Add(1)
-				body, ok := c.lookup(h, key)
+				body, _, ok := lookup(c, h, key)
 				if !ok {
 					var err error
-					body, _, err = c.fill(h, key, func() ([]byte, error) {
-						return []byte(want), nil
+					body, _, _, err = fill(c, h, key, func() ([]byte, int64, error) {
+						return []byte(want), 0, nil
 					})
 					if err != nil {
 						t.Errorf("fill: %v", err)
@@ -165,8 +165,8 @@ func TestShardedCacheConcurrentEvictionBounds(t *testing.T) {
 			hits, misses, coalesced, requests.Load())
 	}
 	// Per-shard bounds, not just the global sum.
-	for i := range c.set.shards {
-		sh := &c.set.shards[i]
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
 		if sh.order.Len() > sh.capacity {
 			t.Errorf("shard %d over its bound: %d > %d", i, sh.order.Len(), sh.capacity)
@@ -182,7 +182,7 @@ func TestShardedCacheConcurrentEvictionBounds(t *testing.T) {
 // reach every coalesced waiter and leave nothing cached, so the next
 // request retries.
 func TestSingleflightPropagatesErrorsWithoutCaching(t *testing.T) {
-	c := newResponseCacheOpts(16, 1, true)
+	c := newCache(cacheOptions{entries: 16, maxBytes: DefaultCacheBytes, shards: 1, coalesce: true})
 	key := []byte("k")
 	h := hashKey(key)
 	const waiters = 8
@@ -193,10 +193,10 @@ func TestSingleflightPropagatesErrorsWithoutCaching(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.fill(h, key, func() ([]byte, error) {
+		_, _, _, err := fill(c, h, key, func() ([]byte, int64, error) {
 			close(started)
 			<-release
-			return nil, fmt.Errorf("boom")
+			return nil, 0, fmt.Errorf("boom")
 		})
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Errorf("winner error = %v", err)
@@ -209,8 +209,8 @@ func TestSingleflightPropagatesErrorsWithoutCaching(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, coalesced, err := c.fill(h, key, func() ([]byte, error) {
-				return nil, fmt.Errorf("boom")
+			_, _, coalesced, err := fill(c, h, key, func() ([]byte, int64, error) {
+				return nil, 0, fmt.Errorf("boom")
 			})
 			if err == nil {
 				t.Error("waiter got nil error")

@@ -73,11 +73,9 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 		case cluster.LayerCanonical:
 			// A peer-served hit counts as a local cache hit and refreshes the
 			// entry's LRU position: keys a fleet keeps asking for stay warm.
-			body, found = s.cache.lookup(hashKey(key), key)
+			body, _, found = lookup(s.cache, hashKey(key), key)
 		case cluster.LayerRaw:
-			if s.rawCache != nil {
-				body, found = s.rawCache.lookupStr(hashKey(key), string(key))
-			}
+			body, _, found = lookup(s.rawCache, hashKey(key), key)
 		default:
 			writeError(w, http.StatusBadRequest, "peer get: unknown layer")
 			return
@@ -190,7 +188,7 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		}
 		s.cache.Put(string(key), append([]byte(nil), body...))
 	case cluster.LayerRaw:
-		if s.rawCache == nil || len(key) < rawFastPathMinQuery {
+		if len(key) < rawFastPathMinQuery {
 			// The raw front only ever caches large spellings; a small raw key
 			// is a protocol violation, not a cache policy question.
 			reject("peer put: raw key below front-layer threshold")

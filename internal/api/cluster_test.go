@@ -311,7 +311,7 @@ func TestPeerRawLayer(t *testing.T) {
 		if len(q) < rawFastPathMinQuery {
 			t.Fatalf("query too short: %d", len(q))
 		}
-		owner, _ := f.servers[1].cluster.Owner(hashString(q))
+		owner, _ := f.servers[1].cluster.Owner(hashKey(q))
 		ownedBy0 = owner == f.addrs[0]
 	}
 	if !ownedBy0 {

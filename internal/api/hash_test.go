@@ -6,10 +6,12 @@ import (
 	"hetero/internal/stats"
 )
 
-// TestHashKeyHashStringAgree pins the invariant adaptive resizes depend on:
-// hashKey over bytes and hashString over the equal string must produce the
-// same shard hash, on both sides of the sampling cutoff and at the stride
-// boundary lengths.
+// TestHashKeyHashStringAgree pins that hashKey gives equal content the same
+// hash whether it arrives as bytes or as a string, on both sides of the
+// sampling cutoff and at the stride boundary lengths. The fleet tier depends
+// on it: cluster.go hashes a raw-front key as bytes (off the peer wire)
+// while rawfront.go hashes the same key as a string, and both must pick the
+// same owner and shard.
 func TestHashKeyHashStringAgree(t *testing.T) {
 	rng := stats.NewRNG(7)
 	sizes := []int{0, 1, 31, hashSampleCutoff - 1, hashSampleCutoff,
@@ -20,8 +22,8 @@ func TestHashKeyHashStringAgree(t *testing.T) {
 		for i := range b {
 			b[i] = byte(rng.Uint64())
 		}
-		if got, want := hashKey(b), hashString(string(b)); got != want {
-			t.Fatalf("len %d: hashKey = %#x, hashString = %#x", n, got, want)
+		if got, want := hashKey(b), hashKey(string(b)); got != want {
+			t.Fatalf("len %d: hashKey(bytes) = %#x, hashKey(string) = %#x", n, got, want)
 		}
 	}
 }

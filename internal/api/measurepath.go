@@ -54,12 +54,6 @@ var measureScratchPool = sync.Pool{
 // The returned body is cache-owned or freshly allocated — never scratch —
 // so it remains valid after the call.
 func (s *Server) MeasureQuery(rawQuery string) (status int, body []byte) {
-	if s.cache == nil {
-		s.cache = newResponseCache(DefaultMeasureCacheSize)
-	}
-	if s.rawCache == nil {
-		s.rawCache = newResponseCache(s.cache.capacity)
-	}
 	sc := measureScratchPool.Get().(*measureScratch)
 	status, body, _ = s.measure(sc, rawQuery)
 	measureScratchPool.Put(sc)
@@ -81,7 +75,7 @@ const rawFastPathMinQuery = 4096
 // front cache. The fleet tier keys off this too: a request does its peer
 // fetch/push at the layer it will be cached at, and only there.
 func (s *Server) rawFrontEngages(rawQuery string) bool {
-	return len(rawQuery) >= rawFastPathMinQuery && s.rawCache != nil && s.rawCache.capacity > 0
+	return len(rawQuery) >= rawFastPathMinQuery && s.rawCache.capacity > 0
 }
 
 // statusError carries a non-200 outcome through the raw layer's
@@ -105,11 +99,11 @@ func (e *statusError) Error() string { return e.msg }
 // raw entry outliving its canonical twin still serves correct bytes.
 func (s *Server) measure(sc *measureScratch, rawQuery string) (int, []byte, string) {
 	if s.rawFrontEngages(rawQuery) {
-		h := hashString(rawQuery)
-		if body, ok := s.rawCache.lookupStr(h, rawQuery); ok {
+		h := hashKey(rawQuery)
+		if body, _, ok := lookup(s.rawCache, h, rawQuery); ok {
 			return 200, body, ""
 		}
-		body, _, err := s.rawCache.fillStr(h, rawQuery, func() ([]byte, error) {
+		body, _, _, err := fill(s.rawCache, h, rawQuery, func() ([]byte, int64, error) {
 			// Spill tier: a raw entry this layer evicted — or, in
 			// write-through mode, one persisted at admission time and
 			// surviving a restart — may still be on disk. Consulted after
@@ -118,7 +112,7 @@ func (s *Server) measure(sc *measureScratch, rawQuery string) (int, []byte, stri
 			// into memory by the fill insert and skips the parse exactly
 			// as a raw-layer peer hit would.
 			if b, ok := s.spillGet(spillLayerRaw, rawQuery); ok {
-				return b, nil
+				return b, 0, nil
 			}
 			// Fleet tier: this exact spelling may already be warm on its
 			// owning replica. A raw-layer peer hit skips the parse entirely —
@@ -128,7 +122,7 @@ func (s *Server) measure(sc *measureScratch, rawQuery string) (int, []byte, stri
 			if cl := s.cluster; cl != nil {
 				if owner, self := cl.Owner(h); !self {
 					if b, ok := cl.Fetch(owner, cluster.LayerRaw, []byte(rawQuery)); ok {
-						return b, nil
+						return b, 0, nil
 					}
 					pushOwner = owner
 				}
@@ -141,22 +135,22 @@ func (s *Server) measure(sc *measureScratch, rawQuery string) (int, []byte, stri
 			if b := s.batcher; b != nil {
 				if res, ok := b.submitRaw(rawQuery); ok {
 					if res.status != 200 {
-						return nil, &statusError{status: res.status, msg: res.msg}
+						return nil, 0, &statusError{status: res.status, msg: res.msg}
 					}
 					if pushOwner != "" {
 						s.cluster.Push(pushOwner, cluster.LayerRaw, []byte(rawQuery), res.body)
 					}
-					return res.body, nil
+					return res.body, 0, nil
 				}
 			}
 			status, body, msg := s.measureCanonical(sc, rawQuery)
 			if status != 200 {
-				return nil, &statusError{status: status, msg: msg}
+				return nil, 0, &statusError{status: status, msg: msg}
 			}
 			if pushOwner != "" {
 				s.cluster.Push(pushOwner, cluster.LayerRaw, []byte(rawQuery), body)
 			}
-			return body, nil
+			return body, 0, nil
 		})
 		if err != nil {
 			if se, ok := err.(*statusError); ok {
@@ -178,7 +172,7 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 	}
 	sc.key = appendCanonicalKey(sc.key[:0], m, sc.rhos)
 	h := hashKey(sc.key)
-	if body, ok := s.cache.lookup(h, sc.key); ok {
+	if body, _, ok := lookup(s.cache, h, sc.key); ok {
 		return 200, body, ""
 	}
 	// Miss: evaluate and encode under singleflight, so a burst of identical
@@ -188,7 +182,7 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 	// this key's flight leader, so the body the flush computes is published
 	// here exactly as an inline evaluation would be; a rejected submit falls
 	// through to the inline path.
-	body, _, err := s.cache.fill(h, sc.key, func() ([]byte, error) {
+	body, _, _, err := fill(s.cache, h, sc.key, func() ([]byte, int64, error) {
 		// Spill tier: disk before peers, peers before evaluation. A hit
 		// returns the stored bytes verbatim (CRC-checked); the fill
 		// insert promotes them back into the memory tier. In
@@ -196,7 +190,7 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 		// was persisted at admission (or by the shutdown flush), so a
 		// reopened store answers here with zero re-evaluations.
 		if b, ok := s.spillGet(spillLayerCanonical, string(sc.key)); ok {
-			return b, nil
+			return b, 0, nil
 		}
 		// Fleet tier: on a miss of a peer-owned key, ask the owner for the
 		// cached bytes before evaluating (hedged; never triggers evaluation
@@ -213,7 +207,7 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 		if cl := s.cluster; cl != nil && !s.rawFrontEngages(rawQuery) {
 			if owner, self := cl.Owner(h); !self {
 				if b, ok := cl.Fetch(owner, cluster.LayerCanonical, sc.key); ok {
-					return b, nil
+					return b, 0, nil
 				}
 				pushOwner = owner
 			}
@@ -223,7 +217,7 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 				if pushOwner != "" {
 					s.cluster.Push(pushOwner, cluster.LayerCanonical, sc.key, out)
 				}
-				return out, nil
+				return out, 0, nil
 			}
 		}
 		s.measureEvals.Add(1)
@@ -234,7 +228,7 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 		if pushOwner != "" {
 			s.cluster.Push(pushOwner, cluster.LayerCanonical, sc.key, out)
 		}
-		return out, nil
+		return out, 0, nil
 	})
 	if err != nil {
 		return 500, nil, err.Error()

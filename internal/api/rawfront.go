@@ -35,7 +35,7 @@ const (
 // the body newline-terminated; non-200 outcomes propagate to every
 // coalesced waiter and are never cached.
 func (s *Server) serveQueryCached(w http.ResponseWriter, prefix, rawQuery string, render func(string) (int, []byte, string)) {
-	if len(rawQuery) < rawFastPathMinQuery || s.rawCache == nil || s.rawCache.capacity <= 0 {
+	if len(rawQuery) < rawFastPathMinQuery || s.rawCache.capacity <= 0 {
 		status, body, msg := render(rawQuery)
 		if status != http.StatusOK {
 			writeError(w, status, msg)
@@ -45,28 +45,26 @@ func (s *Server) serveQueryCached(w http.ResponseWriter, prefix, rawQuery string
 		return
 	}
 	key := prefix + rawQuery
-	h := hashString(key)
-	if body, ok := s.rawCache.lookupStr(h, key); ok {
-		s.drainResizes()
+	h := hashKey(key)
+	if body, _, ok := lookup(s.rawCache, h, key); ok {
 		writeRawJSON(w, http.StatusOK, body)
 		return
 	}
-	body, _, err := s.rawCache.fillStr(h, key, func() ([]byte, error) {
+	body, _, _, err := fill(s.rawCache, h, key, func() ([]byte, int64, error) {
 		// Spill tier: the prefixed key is namespaced inside the raw
 		// layer, so a compare/speedup entry — evicted, or persisted at
 		// admission in write-through mode — round-trips through disk (and
 		// restarts) under the same spelling. Hit → promoted by the fill
 		// insert.
 		if b, ok := s.spillGet(spillLayerRaw, key); ok {
-			return b, nil
+			return b, 0, nil
 		}
 		status, body, msg := render(rawQuery)
 		if status != http.StatusOK {
-			return nil, &statusError{status: status, msg: msg}
+			return nil, 0, &statusError{status: status, msg: msg}
 		}
-		return body, nil
+		return body, 0, nil
 	})
-	s.drainResizes()
 	if err != nil {
 		if se, ok := err.(*statusError); ok {
 			writeError(w, se.status, se.msg)

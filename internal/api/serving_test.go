@@ -251,7 +251,7 @@ func TestCacheDisabled(t *testing.T) {
 func TestResponseCacheConcurrency(t *testing.T) {
 	// Hammer one cache from many goroutines; the race detector (tier-1 runs
 	// this package under -race) does the real checking.
-	c := newResponseCache(8)
+	c := newCache(cacheOptions{entries: 8, maxBytes: DefaultCacheBytes, coalesce: true})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -83,15 +83,6 @@ func (s *Server) EnableSpill(store *spill.Store) {
 // EnableSpillOptions is EnableSpill with explicit options (write-through
 // durability mode for heterod's -spill-write-through flag).
 func (s *Server) EnableSpillOptions(store *spill.Store, opts SpillOptions) {
-	if s.cache == nil {
-		s.cache = newResponseCache(DefaultMeasureCacheSize)
-	}
-	if s.rawCache == nil {
-		s.rawCache = newResponseCache(s.cache.capacity)
-	}
-	if s.batchRawCache == nil {
-		s.batchRawCache = newResponseCache(s.cache.capacity)
-	}
 	t := &spillTier{
 		store:        store,
 		queue:        make(chan spillItem, spillQueueEntries),
@@ -152,15 +143,9 @@ func (s *Server) flushResident(t *spillTier) {
 			return true
 		}
 	}
-	if s.cache != nil {
-		s.cache.forEachEntry(snapshot(spillLayerCanonical))
-	}
-	if s.rawCache != nil {
-		s.rawCache.forEachEntry(snapshot(spillLayerRaw))
-	}
-	if s.batchRawCache != nil {
-		s.batchRawCache.forEachEntry(snapshot(spillLayerBatch))
-	}
+	s.cache.forEachEntry(snapshot(spillLayerCanonical))
+	s.rawCache.forEachEntry(snapshot(spillLayerRaw))
+	s.batchRawCache.forEachEntry(snapshot(spillLayerBatch))
 	for _, it := range pending {
 		if t.store.Put(spillKey(it.layer, it.key), it.body) {
 			t.flushed.Add(1)
