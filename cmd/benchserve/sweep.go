@@ -165,7 +165,7 @@ func newSpillServer(dir string) *api.Server {
 		panic(fmt.Sprintf("benchserve: sweep spill store: %v", err))
 	}
 	s := api.NewServerWithCache(api.CacheConfig{Entries: 256, MaxBytes: 64 << 10, Coalesce: true})
-	s.EnableSpill(st)
+	s.EnableSpillOptions(st, api.SpillOptions{})
 	return s
 }
 

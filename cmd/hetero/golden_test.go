@@ -57,3 +57,38 @@ func TestGoldenArtifacts(t *testing.T) {
 		})
 	}
 }
+
+// TestAllArtifacts pins the committed all_artifacts.txt to what `hetero
+// all` prints: every study runs on fixed seeds, so the file is exactly
+// reproducible. Regenerate it with `go test ./cmd/hetero -run
+// AllArtifacts -update`.
+func TestAllArtifacts(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"all"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("..", "..", "all_artifacts.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("all_artifacts.txt drifted from `hetero all` at line %d (run `go test ./cmd/hetero -run AllArtifacts -update`):\n got: %q\nwant: %q", i+1, g, w)
+		}
+	}
+}

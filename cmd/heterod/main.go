@@ -88,7 +88,6 @@ func run(args []string) error {
 	cacheSize := fs.Int("cache-size", api.DefaultMeasureCacheSize, "bound on the /v1/measure response cache (0 disables)")
 	cacheBytes := fs.Int64("cache-bytes", api.DefaultCacheBytes, "byte budget per response cache, counting key+body per entry (0 = unlimited)")
 	maxBody := fs.Int("max-body", api.DefaultMaxBody, "byte cap on any POST request body")
-	streamBatchThreshold := fs.Int("stream-batch-threshold", 0, "work-units estimate (total ρ-values per batch) past which /v1/batch responses stream instead of buffering (0 = default, negative disables streaming)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout")
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
 	writeTimeout := fs.Duration("write-timeout", 30*time.Second, "http.Server WriteTimeout")
@@ -148,7 +147,6 @@ func run(args []string) error {
 		Coalesce: true,
 	})
 	apiSrv.MaxBody = *maxBody
-	apiSrv.StreamBatchThreshold = *streamBatchThreshold
 	if *spillDir != "" {
 		st, err := spill.Open(spill.Config{
 			Dir:                *spillDir,

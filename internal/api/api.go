@@ -65,16 +65,12 @@ type Server struct {
 	// MaxBody caps every POST request body in bytes (batch, simulate,
 	// schedule, design); 0 means DefaultMaxBody. Set it before serving.
 	MaxBody int
-	// StreamBatchThreshold is the work-units estimate (incr.WorkUnits: one
-	// unit per ρ-value in the batch) at or above which a POST /v1/batch
-	// response is streamed with per-fragment flushes instead of buffered.
-	// 0 means DefaultStreamBatchThreshold; negative disables streaming.
-	// Set it before serving.
-	StreamBatchThreshold int
+	// streamThreshold overrides DefaultStreamBatchThreshold when positive.
+	streamThreshold int
 
-	cache                *responseCache
-	rawCache             *responseCache  // raw-query front layer for large queries
-	batchRawCache        *responseCache  // raw body-front layer for /v1/batch
+	canon                tier            // canonical measure cache
+	rawFront             tier            // raw-query front layer for large queries
+	batchFront           tier            // raw body-front layer for /v1/batch
 	batcher              *measureBatcher // cross-request coalescing admission batcher (nil = off)
 	cluster              *cluster.Peers  // fleet cache tier (nil = single-replica)
 	spill                *spillTier      // on-disk second-level cache (nil = off)
@@ -166,12 +162,11 @@ func NewServerWithCache(cfg CacheConfig) *Server {
 	if !cfg.Coalesce {
 		rawSize = 0 // historical baseline: canonical cache only
 	}
-	return &Server{
-		Defaults:      model.Table1(),
-		cache:         mk(cfg.Entries),
-		rawCache:      mk(rawSize),
-		batchRawCache: mk(rawSize),
-	}
+	s := &Server{Defaults: model.Table1()}
+	s.canon = tier{srv: s, mem: mk(cfg.Entries), layer: spillLayerCanonical, peer: cluster.LayerCanonical}
+	s.rawFront = tier{srv: s, mem: mk(rawSize), layer: spillLayerRaw, peer: cluster.LayerRaw}
+	s.batchFront = tier{srv: s, mem: mk(rawSize), layer: spillLayerBatch}
+	return s
 }
 
 // EnableCoalesce starts the cross-request coalescing admission batcher for
@@ -326,19 +321,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// A body of B bytes decodes to at most ~B/2 ρ-values, so bodies under
-	// the work-units threshold in bytes can never stream: they take the
-	// buffered engine (raw body-front, dedupe, cacheable assembly) whole.
-	if len(body) >= s.streamBatchThreshold() {
-		s.serveBatchLarge(w, r, body)
-		return
-	}
-	status, resp, msg := s.BatchBody(body)
-	if status != http.StatusOK {
+	// A streamed response has already been written when serveBatch returns.
+	status, resp, msg, _ := s.serveBatch(r.Context(), w, body, s.streamBatchThreshold())
+	switch {
+	case status != http.StatusOK:
 		writeError(w, status, msg)
-		return
+	case resp != nil:
+		writeRawJSON(w, http.StatusOK, resp)
 	}
-	writeRawJSON(w, http.StatusOK, resp)
 }
 
 // CacheStats is the /v1/statz view of the measure cache. Misses counts
@@ -452,15 +442,15 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	ct := s.cache.counters()
+	ct := s.canon.mem.counters()
 	cs := CacheStats{
 		Hits: ct.hits, Misses: ct.misses, Coalesced: ct.coalesced,
 		Evicted: ct.evicted, Rejected: ct.rejected,
-		Size: ct.size, Capacity: s.cache.capacity,
-		Bytes: ct.bytes, MaxBytes: s.cache.maxBytes,
+		Size: ct.size, Capacity: s.canon.mem.capacity,
+		Bytes: ct.bytes, MaxBytes: s.canon.mem.maxBytes,
 		Shards: ct.shards,
 	}
-	rt := s.rawCache.counters()
+	rt := s.rawFront.mem.counters()
 	cs.RawHits, cs.RawCoalesced, cs.RawBytes, cs.RawShards = rt.hits, rt.coalesced, rt.bytes, rt.shards
 	cs.Evicted += rt.evicted
 	cs.Rejected += rt.rejected
@@ -478,7 +468,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		RawHits:         s.batchRawHits.Load(),
 		Streamed:        s.batchStreamed.Load(),
 	}
-	bt := s.batchRawCache.counters()
+	bt := s.batchFront.mem.counters()
 	bs.RawBytes, bs.RawShards = bt.bytes, bt.shards
 	var co CoalesceStats
 	if b := s.batcher; b != nil {

@@ -341,7 +341,7 @@ func TestBatchEchoGoldenSpellings(t *testing.T) {
 	// Over HTTP, buffered and forced-streaming.
 	for _, threshold := range []int{0, 1} {
 		s := NewServer()
-		s.StreamBatchThreshold = threshold
+		s.streamThreshold = threshold
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
 		if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {

@@ -2,10 +2,13 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"strconv"
 
 	"hetero/internal/incr"
@@ -66,73 +69,106 @@ func (s *Server) maxBody() int {
 }
 
 // BatchBody runs the POST /v1/batch hot path for a raw request body without
-// the HTTP layer: raw body-front cache, JSON decode, dedupe, size-adaptive
+// the HTTP layer: raw body-front tier, JSON decode, dedupe, size-adaptive
 // evaluation, byte-exact assembly. It returns the HTTP status and, for
 // status 200, the fully buffered response body (newline-terminated,
 // matching json.Encoder). It exists so cmd/benchbatch and the equivalence
-// tests can measure the batch engine proper, free of net/http overhead; the
-// HTTP handler streams oversized responses instead (see batchstream.go) and
-// only takes this buffered path below the streaming threshold.
+// tests can measure the batch engine proper, free of net/http overhead; it
+// never streams (the HTTP handler streams oversized responses, see
+// batchstream.go).
 func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
-	// Raw body-front lookup: for large bodies the exact bytes are a cache
-	// key checked before any decoding, so a repeated sweep costs one hash
-	// instead of a decode + evaluation. The profile count rides on the
-	// entry's meta (stored at admission), so a hit never re-parses bytes.
-	front := len(body) >= batchRawMinBody && s.batchRawCache.capacity > 0
-	var key string
+	status, resp, msg, _ = s.serveBatch(context.Background(), nil, body, math.MaxInt)
+	return status, resp, msg
+}
+
+// serveBatch is the one /v1/batch engine behind handleBatch, BatchBody and
+// BatchBodyStream. A response streams to w when its work-units estimate
+// (incr.WorkUnits) reaches threshold: 0 always streams, math.MaxInt never
+// does. A body shorter than threshold bytes holds fewer than threshold
+// ρ-values, so it can never stream.
+//
+// Exact repeats of a large body are answered by the body-front tier before
+// any decoding. Memory comes first. For a body that could stream, a spill
+// hit is then copied from the verified segment reader without promotion,
+// so its peak memory stays O(chunk). Any other body reaches the tier's
+// fill, which reads spill, decodes and renders once per herd and promotes
+// whatever it returns into memory. A streamed miss is teed into spill and
+// committed only if the stream completes cleanly.
+//
+// The memory key is the spill key without its layer byte, so a request
+// builds at most one O(body) key, and none when the body-front and spill
+// are both off. resp is the whole body when the response did not stream;
+// err reports a stream cut short (context cancelled or write failure).
+func (s *Server) serveBatch(ctx context.Context, w io.Writer, body []byte, threshold int) (status int, resp []byte, msg string, err error) {
+	t := &s.batchFront
+	canStream := len(body) >= threshold
+	var skey string
 	var h uint64
-	if front {
-		key = string(body)
-		h = hashKey(key)
-		if resp, meta, ok := lookup(s.batchRawCache, h, key); ok {
+	if len(body) >= batchRawMinBody && (t.mem.capacity > 0 || s.spill != nil) {
+		skey = spillBatchKey(body)
+		h = hashKey(skey[1:])
+		if resp, meta, ok := lookup(t.mem, h, skey[1:]); ok {
 			s.batchRawHits.Add(1)
 			s.noteBatchCached(resp, meta)
-			return 200, resp, ""
+			return 200, resp, "", nil
 		}
-	}
-	// Spill tier: a response for these exact body bytes may be on disk —
-	// evicted, stream-teed, or (in write-through mode) persisted at
-	// admission and surviving a restart — consulted after the memory
-	// front, before any decoding or evaluation. A hit is promoted back
-	// into the memory front (with its sniffed profile count as meta) by
-	// the fill.
-	if front {
-		if sb, ok := s.spillGet(spillLayerBatch, key); ok {
-			resp, meta, _, err := fill(s.batchRawCache, h, key, func() ([]byte, int64, error) {
-				var count int64
-				if n, ok := batchCountFromBody(sb); ok {
-					count = int64(n)
-				}
-				return sb, count, nil
-			})
-			if err == nil {
-				s.noteBatchCached(resp, meta)
-				return 200, resp, ""
+		if canStream {
+			if ent, ok := t.open(skey); ok {
+				defer ent.Close()
+				return 200, nil, "", copyEntry(w, s.beginStream(w), ent, func(head []byte) {
+					s.noteBatchCached(head, 0)
+				})
 			}
 		}
 	}
-	req, status, msg := s.decodeBatchRequest(body)
-	if status != 0 {
-		return status, nil, msg
+	var req decodedBatch
+	if canStream || skey == "" {
+		if req, status, msg = s.decodeBatchRequest(body); status != 0 {
+			return status, nil, msg, nil
+		}
+		if incr.WorkUnits(req.profiles) >= threshold {
+			s.noteBatch(len(req.profiles))
+			if ctx.Err() != nil {
+				// Nothing written yet: a plain error status is still possible.
+				return http.StatusServiceUnavailable, nil, "request cancelled before streaming began", nil
+			}
+			return 200, nil, "", s.writeBatchStream(ctx, w, req, skey)
+		}
+		if skey == "" {
+			s.noteBatch(len(req.profiles))
+			return 200, s.renderBatchBuffered(req), "", nil
+		}
 	}
-	s.noteBatch(len(req.profiles))
-	if !front {
-		return 200, s.renderBatchBuffered(req), ""
-	}
-	// Errors were rejected above, before the cache layer — the fill can only
-	// publish valid bodies, and a herd of identical misses still evaluates
-	// once (each waiter decoded for itself, which it needed anyway to learn
-	// whether the response should stream).
-	resp, _, coalesced, err := fill(s.batchRawCache, h, key, func() ([]byte, int64, error) {
+	// A herd of identical misses renders once (and, for a body that could
+	// not stream, decodes once); its waiters count as body-front hits.
+	// Errors are never cached.
+	render := func() ([]byte, int64, error) {
+		if req.profiles == nil {
+			r, status, msg := s.decodeBatchRequest(body)
+			if status != 0 {
+				return nil, 0, &statusError{status: status, msg: msg}
+			}
+			req = r
+		}
 		return s.renderBatchBuffered(req), int64(len(req.profiles)), nil
-	})
+	}
+	var meta int64
+	var coalesced bool
+	if canStream {
+		// The spill entry was looked for above; go straight to memory's fill.
+		resp, meta, coalesced, err = fill(t.mem, h, skey[1:], render)
+	} else {
+		resp, meta, coalesced, err = t.fill(h, skey[1:], skey, false, render)
+	}
 	if err != nil {
-		return 500, nil, err.Error()
+		status, msg = errStatus(err)
+		return status, nil, msg, nil
 	}
 	if coalesced {
 		s.batchRawHits.Add(1)
 	}
-	return 200, resp, ""
+	s.noteBatchCached(resp, meta)
+	return 200, resp, "", nil
 }
 
 // noteBatch bumps the /v1/statz batch counters for one served request of n
@@ -493,8 +529,14 @@ func skipJSONSpace(data []byte, i int) int {
 
 // renderBatchBuffered dedupes, evaluates and assembles one decoded batch
 // request into a single body — the cacheable rendering. Peak memory is
-// O(sum of fragment sizes); responses estimated above the streaming
-// threshold take writeBatchStream instead (HTTP path only).
+// O(sum of fragment sizes); responses estimated at or above the streaming
+// threshold take writeBatchStream instead.
+//
+// Fragments come from batchFragment and are scheduled size-adaptively:
+// large profiles run the chunked within-profile kernel sequentially across
+// the pool, the rest fan out largest-first. Fragment values are independent
+// of the schedule — incr.MeasureProfile is worker-count-invariant — so
+// /v1/batch stays bit-identical to /v1/measure in every regime.
 func (s *Server) renderBatchBuffered(req decodedBatch) []byte {
 	// Dedupe bit-identical profiles within the request: repeated sweeps
 	// often carry the same candidate many times, and every duplicate shares
@@ -503,7 +545,23 @@ func (s *Server) renderBatchBuffered(req decodedBatch) []byte {
 	uniq, canon, dups := dedupeProfiles(profiles)
 	s.batchDeduped.Add(uint64(dups))
 
-	frags := s.renderUnique(req, uniq)
+	frags := make([][]byte, len(uniq))
+	uniqProfiles := make([]profile.Profile, len(uniq))
+	for u, i := range uniq {
+		uniqProfiles[u] = profiles[i]
+	}
+	render := func(u int) {
+		frags[u], _ = s.batchFragment(nil, req.m, uniqProfiles[u], req.echoes[uniq[u]])
+	}
+	sched := incr.ScheduleBatch(uniqProfiles, 0)
+	for _, u := range sched.Large {
+		render(u)
+	}
+	weights := make([]int, len(sched.Small))
+	for k, u := range sched.Small {
+		weights[k] = len(uniqProfiles[u])
+	}
+	parallel.ForEachLargestFirst(0, weights, func(k int) { render(sched.Small[k]) })
 
 	// Assemble `{"count":N,"results":[f1,f2,...]}` + '\n' from the fragments
 	// (each a full measure body whose trailing newline is stripped) —
@@ -527,97 +585,56 @@ func (s *Server) renderBatchBuffered(req decodedBatch) []byte {
 	return out
 }
 
-// renderUnique produces the rendered measure fragment for every unique
-// profile (indices into profiles), consulting the canonical cache for
-// profiles large enough to be worth it and scheduling the remaining
-// evaluations size-adaptively: large profiles run the chunked
-// within-profile kernel sequentially across the pool, the rest fan out
-// largest-first. Fragment values are independent of the schedule —
-// incr.MeasureProfile is worker-count-invariant — so /v1/batch stays
-// bit-identical to /v1/measure in every regime.
-func (s *Server) renderUnique(req decodedBatch, uniq []int) [][]byte {
-	m, profiles := req.m, req.profiles
-	frags := make([][]byte, len(uniq))
-	useCache := s.cache.capacity > 0
-
-	// Cache consult pass: resolve what memory already holds, so the
-	// scheduling decision below sees only the profiles that truly need
-	// evaluation.
-	type job struct {
-		u   int    // index into uniq/frags
-		key string // canonical key; "" = bypass the cache
+// batchFragment renders the measure body for one batch profile
+// (newline-terminated, like every fragment), copying the echo from the
+// request's canonical spelling when there is one. A profile of at least
+// batchCacheMinProfile ρ-values goes through the canonical tier — memory,
+// then spill, then evaluation, never a peer — so a batch warm-up serves
+// later GET /v1/measure traffic and vice versa; its fragment is
+// cache-owned and stable. Any other fragment is rendered into *scratch
+// when scratch is set (stable = false: valid only until the next render,
+// so callers retaining it must copy) and into a fresh buffer otherwise.
+// Large profiles turn the pool inward through the chunked within-profile
+// kernel; the result is worker-count invariant either way.
+func (s *Server) batchFragment(scratch *[]byte, m model.Params, p profile.Profile, echo []byte) (frag []byte, stable bool) {
+	workers := 1
+	if len(p) >= incr.ScheduleLargeCutover {
+		workers = 0
 	}
-	var jobs []job
-	for u, i := range uniq {
-		p := profiles[i]
-		if !useCache || len(p) < batchCacheMinProfile {
-			jobs = append(jobs, job{u: u})
-			continue
+	if s.canon.mem.capacity <= 0 || len(p) < batchCacheMinProfile {
+		fm := incr.MeasureProfile(m, p, workers)
+		if scratch == nil {
+			return renderMeasure(p, echo, fm), true
 		}
-		key := string(appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p))
-		if body, _, ok := lookup(s.cache, hashKey(key), key); ok {
-			s.batchCanonHits.Add(1)
-			frags[u] = body
-			continue
-		}
-		jobs = append(jobs, job{u: u, key: key})
+		*scratch = appendMeasureTail(appendEcho((*scratch)[:0], p, echo), fm)
+		return *scratch, false
 	}
-
-	jobProfiles := make([]profile.Profile, len(jobs))
-	for j, jb := range jobs {
-		jobProfiles[j] = profiles[uniq[jb.u]]
+	key := string(appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p))
+	h := hashKey(key)
+	if body, _, ok := lookup(s.canon.mem, h, key); ok {
+		s.batchCanonHits.Add(1)
+		return body, true
 	}
-	render := func(jb job) []byte {
-		p, echo := profiles[uniq[jb.u]], req.echoes[uniq[jb.u]]
-		eval := func(workers int) []byte {
-			return renderMeasure(p, echo, incr.MeasureProfile(m, p, workers))
-		}
-		if jb.key == "" {
-			return eval(1)
-		}
-		// Through the canonical cache: the fill populates the same entry
-		// /v1/measure serves from, and coalesces with any concurrent measure
-		// request for the same cluster.
-		workers := 1
-		if len(p) >= incr.ScheduleLargeCutover {
-			workers = 0
-		}
-		body, _, _, _ := fill(s.cache, hashKey(jb.key), jb.key, func() ([]byte, int64, error) {
-			return eval(workers), 0, nil
-		})
-		return body
-	}
-
-	sched := incr.ScheduleBatch(jobProfiles, 0)
-	for _, j := range sched.Large {
-		frags[jobs[j].u] = render(jobs[j])
-	}
-	weights := make([]int, len(sched.Small))
-	for k, j := range sched.Small {
-		weights[k] = len(jobProfiles[j])
-	}
-	parallel.ForEachLargestFirst(0, weights, func(k int) {
-		j := sched.Small[k]
-		frags[jobs[j].u] = render(jobs[j])
+	body, _, _, _ := s.canon.fill(h, key, "", false, func() ([]byte, int64, error) {
+		return renderMeasure(p, echo, incr.MeasureProfile(m, p, workers)), 0, nil
 	})
-	return frags
+	return body, true
 }
 
 // dedupeProfiles groups bit-identical profiles: uniq lists one
 // representative index per distinct profile (in first-appearance order),
 // canon[i] is the position in uniq of profile i's representative, and dups
-// counts the entries that collapsed onto an earlier one. Identity is exact
-// float64 equality — profiles are validated finite and positive, so == has
-// no NaN corner — and candidates are pre-grouped by a hash of the raw float
-// bits, with an equality check guarding against hash collisions.
+// counts the entries that collapsed onto an earlier one. Candidates are
+// pre-grouped by hashRhoBits and confirmed by floatsEqual, so a hash
+// collision can never merge two profiles.
 func dedupeProfiles(profiles []profile.Profile) (uniq []int, canon []int, dups int) {
 	canon = make([]int, len(profiles))
 	reps := make(map[uint64][]int, len(profiles))
 	for i, p := range profiles {
-		h := hashProfileBits(p)
+		h := hashRhoBits(p)
 		found := -1
 		for _, u := range reps[h] {
-			if equalProfile(profiles[uniq[u]], p) {
+			if floatsEqual(profiles[uniq[u]], p) {
 				found = u
 				break
 			}
@@ -632,37 +649,4 @@ func dedupeProfiles(profiles []profile.Profile) (uniq []int, canon []int, dups i
 		canon[i] = found
 	}
 	return uniq, canon, dups
-}
-
-// hashProfileBits is FNV-1a over the length and the IEEE-754 bits of every
-// ρ — no canonical-key build, no allocation.
-func hashProfileBits(p profile.Profile) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(len(p)))
-	for _, rho := range p {
-		mix(math.Float64bits(rho))
-	}
-	return h
-}
-
-func equalProfile(a, b profile.Profile) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

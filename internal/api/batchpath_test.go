@@ -227,7 +227,7 @@ func TestBatchErrorsNotCached(t *testing.T) {
 			t.Fatalf("attempt %d: status %d msg %q", i, status, msg)
 		}
 	}
-	if s.batchRawCache.counters().size != 0 {
+	if s.batchFront.mem.counters().size != 0 {
 		t.Fatal("error response was cached in the raw body-front")
 	}
 }
@@ -250,11 +250,11 @@ func TestDedupeProfiles(t *testing.T) {
 			t.Fatalf("canon = %v, want %v", canon, want)
 		}
 	}
-	if hashProfileBits(a) == hashProfileBits(b) {
+	if hashRhoBits(a) == hashRhoBits(b) {
 		t.Fatal("distinct profiles collide (suspicious hash)")
 	}
 	// Prefix profiles must not collide via length confusion.
-	if hashProfileBits(profile.MustNew(1)) == hashProfileBits(profile.MustNew(1, 1)) {
+	if hashRhoBits(profile.MustNew(1)) == hashRhoBits(profile.MustNew(1, 1)) {
 		t.Fatal("length not mixed into the profile hash")
 	}
 }

@@ -4,14 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
-
-	"hetero/internal/incr"
-	"hetero/internal/model"
-	"hetero/internal/profile"
-	"hetero/internal/spill"
 )
 
 // The streaming render path for POST /v1/batch. The buffered path
@@ -32,7 +26,7 @@ import (
 // were never assembled cannot be admitted to the raw body-front, so
 // responses *worth caching* (small enough to buffer) keep the buffered
 // path, and the two are arbitrated by incr.ScheduleBatch's work-units
-// heuristic against StreamBatchThreshold.
+// heuristic against the stream threshold (see serveBatch).
 //
 // Errors after the first flushed byte cannot become an HTTP error status;
 // the JSON is instead terminated with a structured trailer object (see
@@ -47,236 +41,60 @@ import (
 // (cacheable) responses keep the buffered raw-body-front treatment.
 const DefaultStreamBatchThreshold = 1 << 20
 
-// streamBatchThreshold resolves the Server's streaming threshold:
-// 0 means the package default, negative disables streaming entirely.
+// streamBatchThreshold resolves the Server's streaming threshold.
 func (s *Server) streamBatchThreshold() int {
-	switch {
-	case s.StreamBatchThreshold > 0:
-		return s.StreamBatchThreshold
-	case s.StreamBatchThreshold < 0:
-		return math.MaxInt
+	if s.streamThreshold > 0 {
+		return s.streamThreshold
 	}
 	return DefaultStreamBatchThreshold
 }
 
-// shouldStreamBatch decides stream-vs-buffer for one decoded batch from the
-// same work-units estimate incr.ScheduleBatch plans evaluation with.
-func (s *Server) shouldStreamBatch(profiles []profile.Profile) bool {
-	return incr.WorkUnits(profiles) >= s.streamBatchThreshold()
-}
-
-// serveBatchLarge handles POST /v1/batch bodies large enough that the
-// response may stream (handleBatch routes smaller bodies — which can never
-// reach the work-units threshold — through the buffered BatchBody). The
-// raw body-front is still consulted first: a hit serves cached (buffered)
-// bytes without decoding; on a miss the body is decoded once and the
-// work-units estimate picks the render path.
-func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []byte) {
-	front := len(body) >= batchRawMinBody && s.batchRawCache.capacity > 0
-	var key string
-	var h uint64
-	if front {
-		key = string(body)
-		h = hashKey(key)
-		if resp, meta, ok := lookup(s.batchRawCache, h, key); ok {
-			s.batchRawHits.Add(1)
-			s.noteBatchCached(resp, meta)
-			writeRawJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	// Spill tier: a response for these exact body bytes — evicted from
-	// the memory front or teed off an earlier stream — serves straight
-	// from the segment reader, fragment-by-fragment, before any decode.
-	// Peak memory stays O(chunk); the entry is NOT promoted to memory
-	// (promotion would re-materialize an O(response) body).
-	if front && s.serveSpillStream(w, key) {
-		return
-	}
-	req, status, msg := s.decodeBatchRequest(body)
-	if status != 0 {
-		writeError(w, status, msg)
-		return
-	}
-	s.noteBatch(len(req.profiles))
-	if s.shouldStreamBatch(req.profiles) {
-		teeKey := ""
-		if front {
-			teeKey = key
-		}
-		s.streamBatch(r.Context(), w, req, teeKey)
-		return
-	}
-	if !front {
-		writeRawJSON(w, http.StatusOK, s.renderBatchBuffered(req))
-		return
-	}
-	resp, _, coalesced, err := fill(s.batchRawCache, h, key, func() ([]byte, int64, error) {
-		return s.renderBatchBuffered(req), int64(len(req.profiles)), nil
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if coalesced {
-		s.batchRawHits.Add(1)
-	}
-	writeRawJSON(w, http.StatusOK, resp)
-}
-
-// streamBatch writes one decoded batch response incrementally to an HTTP
-// response, flushing after every fragment so the peak buffered state —
-// ours and net/http's — stays O(one fragment). A non-empty teeKey also
-// copies the streamed bytes into a spill appender (its private segment
-// file), committed only when the stream completes cleanly — an error
-// trailer or snapped connection aborts the tee so no truncated response
-// can ever be served later.
-func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, req decodedBatch, teeKey string) {
-	if err := ctx.Err(); err != nil {
-		// Nothing written yet: a plain error status is still possible.
-		writeError(w, http.StatusServiceUnavailable, "request cancelled before streaming began")
-		return
-	}
-	s.batchStreamed.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	dst := io.Writer(w)
-	var ap *spill.Appender
-	if teeKey != "" {
-		if ap = s.spillBegin(teeKey); ap != nil {
-			// Appender writes never fail the client stream: errors are
-			// remembered inside and surface as a failed Commit.
-			dst = io.MultiWriter(w, ap)
-		}
-	}
-	// A write error means the client is gone; there is no one to deliver a
-	// trailer to, so the error is dropped after the stream is abandoned.
-	err := s.writeBatchStream(ctx, dst, flush, req)
-	if ap != nil {
-		if err == nil {
-			ap.Commit()
-		} else {
-			ap.Abort()
-		}
-	}
-}
-
-// spillStreamChunk is the read-copy granularity for serving a spilled
-// batch response; it bounds the serve path's peak memory per request.
-const spillStreamChunk = 64 << 10
-
-// serveSpillStream serves a spilled response for the exact body key over
-// HTTP, chunk by chunk with per-chunk flushes. The record's CRC and key
-// were fully verified by OpenVerified before the first byte goes out, so
-// corruption can never reach a client — it reads as a miss and the
-// caller falls through to evaluation.
-func (s *Server) serveSpillStream(w http.ResponseWriter, key string) bool {
-	ent, ok := s.spillOpenStream(key)
-	if !ok {
-		return false
-	}
-	defer ent.Close()
-	s.batchStreamed.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	_ = s.copySpillStream(w, flush, ent)
-	return true
-}
-
-// copySpillStream copies a verified spill entry to w in fixed-size
-// chunks, sniffing the profile count off the first chunk for the batch
-// statz counters. A mid-copy read error (the segment was pre-verified,
-// so only hardware faults remain) abandons the stream like a snapped
-// client connection.
-func (s *Server) copySpillStream(w io.Writer, flush func(), ent *spill.Entry) error {
-	buf := make([]byte, spillStreamChunk)
-	var off int64
-	for off < ent.BodyLen() {
-		n, err := ent.ReadBodyAt(buf, off)
-		if n > 0 {
-			if off == 0 {
-				if c, ok := batchCountFromBody(buf[:n]); ok {
-					s.noteBatch(c)
-				} else {
-					s.batchRequests.Add(1)
-					s.batchProfilesUnknown.Add(1)
-				}
-			}
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return werr
-			}
-			flush()
-			off += int64(n)
-		}
-		if err != nil && off < ent.BodyLen() {
-			return err
-		}
-	}
-	return nil
-}
-
 // BatchBodyStream runs the POST /v1/batch hot path for a raw request body
-// with the streaming renderer, writing the response to w instead of
-// assembling it. A non-200 status means the request was rejected before
-// any byte was written (msg describes why, nothing reaches w). Status 200
-// with a nil error means the complete response — bit-identical to
-// BatchBody's — was written; a non-nil error means the stream terminated
-// early with the structured JSON trailer (context cancellation) or an
-// unfinished body (write failure). It exists so cmd/benchbatch and the
-// equivalence/fuzz tests can drive the streaming engine free of net/http.
+// and always streams, writing the response to w instead of assembling it. A
+// non-200 status means the request was rejected before any byte was
+// written (msg describes why, nothing reaches w). Status 200 with a nil
+// error means the complete response — bit-identical to BatchBody's — was
+// written; a non-nil error means the stream terminated early with the
+// structured JSON trailer (context cancellation) or an unfinished body
+// (write failure). A nil ctx means context.Background. It exists so
+// cmd/benchbatch and the equivalence/fuzz tests can drive the streaming
+// engine free of net/http.
 func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) (status int, msg string, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Spill tier (only when enabled — with spill off this path is
-	// byte-for-byte the historical one): serve a stored response for
-	// these exact body bytes fragment-by-fragment from the segment
-	// reader, or tee the freshly rendered stream into the spill store.
-	storeKey := ""
-	if s.spill != nil && len(body) >= batchRawMinBody {
-		storeKey = spillBatchKey(body)
-		if ent, ok := s.spillOpenStreamKey(storeKey); ok {
-			s.batchStreamed.Add(1)
-			err := s.copySpillStream(w, func() {}, ent)
-			ent.Close()
-			return http.StatusOK, "", err
-		}
+	status, resp, msg, err := s.serveBatch(ctx, w, body, 0)
+	if resp != nil {
+		_, err = w.Write(resp)
 	}
-	req, status, msg := s.decodeBatchRequest(body)
-	if status != 0 {
-		return status, msg, nil
-	}
-	s.noteBatch(len(req.profiles))
+	return status, msg, err
+}
+
+// beginStream commits w to a streamed 200 response: over HTTP it sends the
+// header now. It returns the per-fragment flush (a no-op when w cannot
+// flush).
+func (s *Server) beginStream(w io.Writer) (flush func()) {
 	s.batchStreamed.Add(1)
-	dst := w
-	var ap *spill.Appender
-	if storeKey != "" {
-		if ap = s.spillBeginKey(storeKey); ap != nil {
-			dst = io.MultiWriter(w, ap)
-		}
+	if rw, ok := w.(http.ResponseWriter); ok {
+		rw.Header().Set("Content-Type", "application/json")
+		rw.WriteHeader(http.StatusOK)
 	}
-	err = s.writeBatchStream(ctx, dst, func() {}, req)
-	if ap != nil {
-		if err == nil {
-			ap.Commit()
-		} else {
-			ap.Abort()
-		}
+	if f, ok := w.(http.Flusher); ok {
+		return f.Flush
 	}
-	return http.StatusOK, "", err
+	return func() {}
 }
 
 // writeBatchStream is the incremental renderer: envelope, then one
-// fragment at a time from a reusable buffer, then the closing frame. The
-// produced bytes match renderBatchBuffered exactly on success.
+// fragment at a time from a reusable buffer, then the closing frame,
+// flushing after every fragment so the peak buffered state — ours and
+// net/http's — stays O(one fragment). The produced bytes match
+// renderBatchBuffered exactly on success. With spill on, a non-empty store
+// key skey also tees the bytes into a spill appender (its private segment
+// file), committed only when the stream completes cleanly — an error
+// trailer or snapped connection aborts the tee so no truncated response
+// can ever be served later. Appender writes never fail the client stream:
+// their errors surface as a failed Commit.
 //
 // Dedupe still evaluates each distinct profile once: a fragment whose
 // profile recurs later in the batch is retained (a stable copy when it was
@@ -287,7 +105,18 @@ func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) 
 // Cancellation is checked before each fragment's evaluation, so a client
 // disconnect aborts the per-profile work promptly instead of evaluating
 // the remaining profiles into a dead socket.
-func (s *Server) writeBatchStream(ctx context.Context, w io.Writer, flush func(), req decodedBatch) error {
+func (s *Server) writeBatchStream(ctx context.Context, w io.Writer, req decodedBatch, skey string) (err error) {
+	flush := s.beginStream(w)
+	if ap := s.batchFront.tee(skey); ap != nil {
+		defer func() {
+			if err == nil {
+				ap.Commit()
+			} else {
+				ap.Abort()
+			}
+		}()
+		w = io.MultiWriter(w, ap)
+	}
 	profiles := req.profiles
 	uniq, canon, dups := dedupeProfiles(profiles)
 	s.batchDeduped.Add(uint64(dups))
@@ -313,7 +142,7 @@ func (s *Server) writeBatchStream(ctx context.Context, w io.Writer, flush func()
 		frag := held[u]
 		if frag == nil {
 			var stable bool
-			frag, stable = s.renderStreamFragment(&scratch, req.m, profiles[uniq[u]], req.echoes[uniq[u]])
+			frag, stable = s.batchFragment(&scratch, req.m, profiles[uniq[u]], req.echoes[uniq[u]])
 			if lastUse[u] > i {
 				if !stable {
 					cp := make([]byte, len(frag))
@@ -374,36 +203,4 @@ func (s *Server) writeStreamTrailer(w io.Writer, flush func(), written int, caus
 	}
 	flush()
 	return cause
-}
-
-// renderStreamFragment renders the measure body for one profile
-// (newline-terminated, like every fragment), copying the echo from the
-// request's canonical spelling when there is one. Cache-eligible profiles go
-// through the canonical measure cache exactly as the buffered path does —
-// the returned body is then cache-owned and stable. Otherwise the fragment
-// is rendered into the caller's reusable scratch buffer (stable = false:
-// the bytes are only valid until the next render, so callers retaining
-// them must copy). Large profiles turn the pool inward through the chunked
-// within-profile kernel; the result is worker-count invariant either way,
-// which is what keeps streamed bytes bit-identical to buffered ones.
-func (s *Server) renderStreamFragment(scratch *[]byte, m model.Params, p profile.Profile, echo []byte) (frag []byte, stable bool) {
-	workers := 1
-	if len(p) >= incr.ScheduleLargeCutover {
-		workers = 0
-	}
-	if s.cache.capacity <= 0 || len(p) < batchCacheMinProfile {
-		fm := incr.MeasureProfile(m, p, workers)
-		*scratch = appendMeasureTail(appendEcho((*scratch)[:0], p, echo), fm)
-		return *scratch, false
-	}
-	key := string(appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p))
-	h := hashKey(key)
-	if body, _, ok := lookup(s.cache, h, key); ok {
-		s.batchCanonHits.Add(1)
-		return body, true
-	}
-	body, _, _, _ := fill(s.cache, h, key, func() ([]byte, int64, error) {
-		return renderMeasure(p, echo, incr.MeasureProfile(m, p, workers)), 0, nil
-	})
-	return body, true
 }

@@ -84,7 +84,7 @@ func TestBatchStreamHTTP(t *testing.T) {
 	body := marshalBatch(t, sets)
 
 	s := NewServer()
-	s.StreamBatchThreshold = 1 // everything streams
+	s.streamThreshold = 1 // everything streams
 	srv := newTestServerFrom(t, s)
 	resp, err := http.Post(srv+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -202,7 +202,7 @@ func TestBatchStreamCancelTrailer(t *testing.T) {
 // produce a plain error status over HTTP (nothing streamed, no trailer).
 func TestBatchStreamPreCancelled(t *testing.T) {
 	s := NewServer()
-	s.StreamBatchThreshold = 1
+	s.streamThreshold = 1
 	srv := newTestServerFrom(t, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -226,7 +226,7 @@ func TestBatchStreamPreCancelled(t *testing.T) {
 // serving.
 func TestBatchStreamClientDisconnect(t *testing.T) {
 	s := NewServer()
-	s.StreamBatchThreshold = 1
+	s.streamThreshold = 1
 	srv := newTestServerFrom(t, s)
 
 	// Enough profiles that the stream cannot finish before the cancel lands.

@@ -244,7 +244,7 @@ type cacheOptions struct {
 // newCache builds a responseCache, distributing the global entry and byte
 // bounds across its shards (remainders go to the first shards, so the
 // per-shard bounds sum exactly to the global ones). entries ≤ 0 builds a
-// disabled cache: one counter-only shard so Stats still works.
+// disabled cache: one counter-only shard so counters still works.
 func newCache(o cacheOptions) *responseCache {
 	c := &responseCache{capacity: o.entries, maxBytes: o.maxBytes, coalesce: o.coalesce}
 	shards := 1
@@ -522,20 +522,6 @@ func (c *responseCache) counters() cacheCounters {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// Stats reports the cache counters and current occupancy, summed over
-// shards.
-func (c *responseCache) Stats() (hits, misses uint64, size, capacity int) {
-	ct := c.counters()
-	return ct.hits, ct.misses, ct.size, c.capacity
-}
-
-// statsFull is Stats plus the sharding-era counters — the historical tuple
-// shape several tests consume.
-func (c *responseCache) statsFull() (hits, misses uint64, size int, coalesced, evicted uint64) {
-	ct := c.counters()
-	return ct.hits, ct.misses, ct.size, ct.coalesced, ct.evicted
 }
 
 // setEvictSink installs fn as every shard's eviction sink. fn runs under a

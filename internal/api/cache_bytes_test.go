@@ -85,7 +85,7 @@ func TestServerCacheStaysUnderByteBudget(t *testing.T) {
 	checkBudgets := func(step string) {
 		t.Helper()
 		for name, c := range map[string]*responseCache{
-			"canonical": s.cache, "raw": s.rawCache, "batchRaw": s.batchRawCache,
+			"canonical": s.canon.mem, "raw": s.rawFront.mem, "batchRaw": s.batchFront.mem,
 		} {
 			if ct := c.counters(); ct.bytes > budget {
 				t.Fatalf("%s: %s cache resident bytes %d exceed budget %d", step, name, ct.bytes, budget)
@@ -121,7 +121,7 @@ func TestServerCacheStaysUnderByteBudget(t *testing.T) {
 		}
 		checkBudgets(fmt.Sprintf("batch %d", i))
 	}
-	canon := s.cache.counters()
+	canon := s.canon.mem.counters()
 	if canon.evicted == 0 {
 		t.Fatal("no evictions under a workload far over budget: the byte bound is not enforced")
 	}

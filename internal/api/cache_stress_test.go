@@ -65,7 +65,8 @@ func TestSingleflightExactlyOnceUnderSkew(t *testing.T) {
 			t.Errorf("key %d evaluated %d times, want exactly 1", k, n)
 		}
 	}
-	hits, misses, size, coalesced, evicted := c.statsFull()
+	ct := c.counters()
+	hits, misses, size, coalesced, evicted := ct.hits, ct.misses, ct.size, ct.coalesced, ct.evicted
 	if misses != keys {
 		t.Errorf("misses = %d, want %d (one per distinct key)", misses, keys)
 	}
@@ -156,7 +157,8 @@ func TestShardedCacheConcurrentEvictionBounds(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	hits, misses, size, coalesced, _ := c.statsFull()
+	ct := c.counters()
+	hits, misses, size, coalesced := ct.hits, ct.misses, ct.size, ct.coalesced
 	if size > capacity {
 		t.Fatalf("cache overflowed its global bound: size %d > capacity %d", size, capacity)
 	}
@@ -267,11 +269,12 @@ func TestRawLayerCoalescesLargeQueryHerd(t *testing.T) {
 			t.Fatalf("goroutine %d received different bytes", g)
 		}
 	}
-	_, canonMisses, _, _, _ := s.cache.statsFull()
+	canonMisses := s.canon.mem.counters().misses
 	if canonMisses != 1 {
 		t.Fatalf("canonical misses = %d, want exactly 1 evaluation for the herd", canonMisses)
 	}
-	rawHits, rawMisses, _, rawCoalesced, _ := s.rawCache.statsFull()
+	rt := s.rawFront.mem.counters()
+	rawHits, rawMisses, rawCoalesced := rt.hits, rt.misses, rt.coalesced
 	if rawMisses != 1 {
 		t.Fatalf("raw misses = %d, want 1", rawMisses)
 	}

@@ -52,6 +52,16 @@ func (s *Server) MeasureEvals() uint64 { return s.measureEvals.Load() }
 // warm key, 404 on a cold one (or when no tier is attached). It never
 // evaluates — the never-worse guarantee of the tier rests on misses being
 // cheap here.
+//
+// After memory misses, the addressed tier's spill entry answers: an owner
+// that has evicted a key it owns — or was restarted since serving it, in
+// write-through mode — still serves the cached bytes without an
+// evaluation, which is what keeps the fleet's ≤1.25-evals-per-key bound
+// intact across restarts. The entry is CRC-verified before the first byte
+// is written (corruption degrades to a plain miss), streams in fixed-size
+// chunks (raw-front bodies can be large), and is deliberately not promoted
+// back into memory: a key only peers are asking for should not displace
+// this replica's own working set.
 func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		methodNotAllowed(w, http.MethodPost)
@@ -69,19 +79,26 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	var found bool
 	if s.cluster != nil {
-		switch layer {
-		case cluster.LayerCanonical:
-			// A peer-served hit counts as a local cache hit and refreshes the
-			// entry's LRU position: keys a fleet keeps asking for stay warm.
-			body, _, found = lookup(s.cache, hashKey(key), key)
-		case cluster.LayerRaw:
-			body, _, found = lookup(s.rawCache, hashKey(key), key)
-		default:
+		t := s.peerTier(layer)
+		if t == nil {
 			writeError(w, http.StatusBadRequest, "peer get: unknown layer")
 			return
 		}
-		if !found && s.servePeerGetFromSpill(w, layer, key) {
-			return
+		// A peer-served hit counts as a local cache hit and refreshes the
+		// entry's LRU position: keys a fleet keeps asking for stay warm.
+		body, _, found = lookup(t.mem, hashKey(key), key)
+		if !found {
+			if ent, ok := t.open(spillKey(t.layer, string(key))); ok {
+				defer ent.Close()
+				s.servedGetsSpill.Add(1)
+				w.Header().Set("Content-Type", "application/octet-stream")
+				w.Header().Set("Content-Length", strconv.FormatInt(ent.BodyLen(), 10))
+				// A mid-copy read failure truncates the response short of
+				// Content-Length, which the peer's HTTP client surfaces as an
+				// error (and treats as a miss) — still never a bad byte.
+				_ = copyEntry(w, nil, ent, nil)
+				return
+			}
 		}
 	}
 	if !found {
@@ -92,55 +109,6 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	s.servedGets.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(body)
-}
-
-// servePeerGetFromSpill answers a peer get from the on-disk tier after the
-// memory layers miss: an owner that has evicted a key it owns — or was
-// restarted since serving it, in write-through mode — still serves the
-// cached bytes without an evaluation, which is what keeps the fleet's
-// ≤1.25-evals-per-key bound intact across restarts. The handle is fully
-// CRC-verified before the first byte is written, so corruption degrades to
-// a plain miss (never a bad byte), and the body streams in fixed-size
-// chunks (raw-front bodies can be large). The entry is deliberately not
-// promoted back into memory: a key only peers are asking for should not
-// displace this replica's own working set. Reports whether it wrote a
-// response.
-func (s *Server) servePeerGetFromSpill(w http.ResponseWriter, layer byte, key []byte) bool {
-	var slayer byte
-	switch layer {
-	case cluster.LayerCanonical:
-		slayer = spillLayerCanonical
-	case cluster.LayerRaw:
-		slayer = spillLayerRaw
-	default:
-		return false
-	}
-	ent, ok := s.spillOpenStreamKey(spillKey(slayer, string(key)))
-	if !ok {
-		return false
-	}
-	defer ent.Close()
-	s.servedGetsSpill.Add(1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(ent.BodyLen(), 10))
-	buf := make([]byte, spillStreamChunk)
-	for off := int64(0); off < ent.BodyLen(); {
-		n, err := ent.ReadBodyAt(buf, off)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return true
-			}
-			off += int64(n)
-		}
-		if err != nil {
-			// The record was verified before the 200; a mid-stream read
-			// failure truncates the response short of Content-Length, which
-			// the peer's HTTP client surfaces as an error (and treats as a
-			// miss) — still never a bad byte.
-			return true
-		}
-	}
-	return true
 }
 
 // handlePeerPut accepts a response body a peer computed for a key this
@@ -180,25 +148,23 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		reject("peer put: not the owner of this key")
 		return
 	}
-	switch layer {
-	case cluster.LayerCanonical:
+	t := s.peerTier(layer)
+	if t == nil {
+		reject("peer put: unknown layer")
+		return
+	}
+	if t == &s.canon {
 		if _, _, err := ParseCanonicalKey(string(key)); err != nil {
 			reject("peer put: " + err.Error())
 			return
 		}
-		s.cache.Put(string(key), append([]byte(nil), body...))
-	case cluster.LayerRaw:
-		if len(key) < rawFastPathMinQuery {
-			// The raw front only ever caches large spellings; a small raw key
-			// is a protocol violation, not a cache policy question.
-			reject("peer put: raw key below front-layer threshold")
-			return
-		}
-		s.rawCache.Put(string(key), append([]byte(nil), body...))
-	default:
-		reject("peer put: unknown layer")
+	} else if len(key) < rawFastPathMinQuery {
+		// The raw front only ever caches large spellings; a small raw key
+		// is a protocol violation, not a cache policy question.
+		reject("peer put: raw key below front-layer threshold")
 		return
 	}
+	t.mem.Put(string(key), append([]byte(nil), body...))
 	s.acceptedPuts.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -460,7 +460,7 @@ func TestPeerGetServesFromSpill(t *testing.T) {
 			t.Fatalf("filler %q status %d", fq, status)
 		}
 	}
-	if _, ok := s0.cache.Get(string(key)); ok {
+	if _, ok := s0.canon.mem.Get(string(key)); ok {
 		t.Fatal("key still memory-resident on the owner; test needs it disk-only")
 	}
 	ownerEvals := s0.MeasureEvals()

@@ -267,7 +267,8 @@ type profMemo struct {
 }
 
 // hashRhoBits hashes the exact float64 bit patterns of a profile — the
-// grouping prefilter; groups are confirmed by full comparison.
+// prefilter of both profile groupings (a flush's groups here, a batch's
+// dedupe in dedupeProfiles); floatsEqual confirms every match.
 func hashRhoBits(rhos []float64) uint64 {
 	h := uint64(fnvOffset64)
 	for _, r := range rhos {
@@ -450,10 +451,9 @@ func (b *measureBatcher) flush(batch []coalesceItem) {
 }
 
 // floatsEqual reports exact element-wise equality of two profiles — the
-// grouping confirmation after the bit-hash prefilter. Bit-pattern equality
-// (not ==) so grouping can never conflate distinct patterns; values that
-// parse from queries are never NaN, but parsed items arrive pre-decoded and
-// the comparison must stay exact regardless.
+// confirmation after the hashRhoBits prefilter. Bit-pattern equality (not
+// ==) so grouping can never conflate distinct patterns; validated profiles
+// are never NaN, but the comparison must stay exact regardless.
 func floatsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

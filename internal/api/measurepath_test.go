@@ -243,7 +243,7 @@ func TestRawLayerLargeQueryHitZeroAlloc(t *testing.T) {
 	}
 	// The repeats must have resolved at the raw layer, not re-parsed into
 	// canonical hits.
-	rawHits, _, _, _, _ := s.rawCache.statsFull()
+	rawHits := s.rawFront.mem.counters().hits
 	if rawHits == 0 {
 		t.Error("no raw-layer hits recorded; large query did not take the fast path")
 	}
@@ -267,7 +267,7 @@ func TestRawLayerSpellingsUnifyAtCanonicalLayer(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatal("two spellings of one cluster served different bytes")
 	}
-	_, misses, _, _, _ := s.cache.statsFull()
+	misses := s.canon.mem.counters().misses
 	if misses != 1 {
 		t.Fatalf("canonical misses = %d, want 1 (second spelling must unify)", misses)
 	}
@@ -286,7 +286,7 @@ func TestRawLayerDoesNotCacheErrors(t *testing.T) {
 			t.Fatalf("attempt %d: status %d, want 400", i, status)
 		}
 	}
-	if _, _, size, _, _ := s.rawCache.statsFull(); size != 0 {
+	if size := s.rawFront.mem.counters().size; size != 0 {
 		t.Fatalf("raw layer cached %d entries for an erroring query", size)
 	}
 }

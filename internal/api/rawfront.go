@@ -28,14 +28,15 @@ const (
 	speedupKeyPrefix = "\x01s|"
 )
 
-// serveQueryCached serves one GET query endpoint through the raw front
-// cache: queries of at least rawFastPathMinQuery bytes are looked up (and
-// filled, coalescing concurrent identical misses) under prefix+rawQuery;
-// smaller ones render directly. render returns (status, body, errMsg) with
-// the body newline-terminated; non-200 outcomes propagate to every
-// coalesced waiter and are never cached.
+// serveQueryCached serves one GET query endpoint through the raw-query
+// front tier: queries of at least rawFastPathMinQuery bytes are looked up
+// (and filled — spill, then render, never a peer — coalescing concurrent
+// identical misses) under prefix+rawQuery; smaller ones render directly.
+// render returns (status, body, errMsg) with the body newline-terminated;
+// non-200 outcomes propagate to every coalesced waiter and are never
+// cached.
 func (s *Server) serveQueryCached(w http.ResponseWriter, prefix, rawQuery string, render func(string) (int, []byte, string)) {
-	if len(rawQuery) < rawFastPathMinQuery || s.rawCache.capacity <= 0 {
+	if len(rawQuery) < rawFastPathMinQuery || s.rawFront.mem.capacity <= 0 {
 		status, body, msg := render(rawQuery)
 		if status != http.StatusOK {
 			writeError(w, status, msg)
@@ -46,32 +47,17 @@ func (s *Server) serveQueryCached(w http.ResponseWriter, prefix, rawQuery string
 	}
 	key := prefix + rawQuery
 	h := hashKey(key)
-	if body, _, ok := lookup(s.rawCache, h, key); ok {
-		writeRawJSON(w, http.StatusOK, body)
-		return
-	}
-	body, _, _, err := fill(s.rawCache, h, key, func() ([]byte, int64, error) {
-		// Spill tier: the prefixed key is namespaced inside the raw
-		// layer, so a compare/speedup entry — evicted, or persisted at
-		// admission in write-through mode — round-trips through disk (and
-		// restarts) under the same spelling. Hit → promoted by the fill
-		// insert.
-		if b, ok := s.spillGet(spillLayerRaw, key); ok {
-			return b, 0, nil
-		}
-		status, body, msg := render(rawQuery)
-		if status != http.StatusOK {
-			return nil, 0, &statusError{status: status, msg: msg}
-		}
-		return body, 0, nil
-	})
-	if err != nil {
-		if se, ok := err.(*statusError); ok {
-			writeError(w, se.status, se.msg)
+	body, _, ok := lookup(s.rawFront.mem, h, key)
+	if !ok {
+		var err error
+		body, _, _, err = s.rawFront.fill(h, key, "", false, func() ([]byte, int64, error) {
+			return fillResult(render(rawQuery))
+		})
+		if err != nil {
+			status, msg := errStatus(err)
+			writeError(w, status, msg)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
 	}
 	writeRawJSON(w, http.StatusOK, body)
 }

@@ -26,7 +26,7 @@ func TestCompareRawFrontCacheHit(t *testing.T) {
 	}
 	url := srv + "/v1/compare?" + q
 	code1, miss := getBody(t, url)
-	hitsBefore := s.rawCache.counters().hits
+	hitsBefore := s.rawFront.mem.counters().hits
 	code2, hit := getBody(t, url)
 	if code1 != 200 || code2 != 200 {
 		t.Fatalf("statuses %d / %d", code1, code2)
@@ -34,7 +34,7 @@ func TestCompareRawFrontCacheHit(t *testing.T) {
 	if !bytes.Equal(miss, hit) {
 		t.Fatal("raw-front hit served different bytes than the miss")
 	}
-	if s.rawCache.counters().hits != hitsBefore+1 {
+	if s.rawFront.mem.counters().hits != hitsBefore+1 {
 		t.Fatal("second request did not hit the raw front cache")
 	}
 }
@@ -58,7 +58,7 @@ func TestSpeedupRawFrontCacheHit(t *testing.T) {
 	if !bytes.Equal(miss, hit) {
 		t.Fatal("raw-front hit served different bytes than the miss")
 	}
-	if s.rawCache.counters().hits == 0 {
+	if s.rawFront.mem.counters().hits == 0 {
 		t.Fatal("second request did not hit the raw front cache")
 	}
 }
@@ -107,7 +107,7 @@ func TestCompareSpeedupErrorsNotCached(t *testing.T) {
 			t.Fatalf("speedup attempt %d: status %d, want 400", i, code)
 		}
 	}
-	if size := s.rawCache.counters().size; size != 0 {
+	if size := s.rawFront.mem.counters().size; size != 0 {
 		t.Fatalf("%d error responses cached in the raw front", size)
 	}
 }
@@ -121,7 +121,7 @@ func TestCompareSmallQueryUnaffected(t *testing.T) {
 	if code != 200 || !bytes.Contains(body, []byte(`"winner"`)) {
 		t.Fatalf("status %d body %.120q", code, body)
 	}
-	if ct := s.rawCache.counters(); ct.size != 0 || ct.hits != 0 {
+	if ct := s.rawFront.mem.counters(); ct.size != 0 || ct.hits != 0 {
 		t.Fatalf("small query touched the raw front: %+v", ct)
 	}
 }

@@ -11,12 +11,12 @@ import (
 // Spill-tier wiring: internal/spill is the bounded on-disk second-level
 // cache under the in-memory response caches. Each memory layer gets an
 // eviction sink that offers the evicted (key, body) to a bounded queue;
-// one background writer drains it into the store. Reads consult the
-// store inside the singleflight fill closures — after every in-memory
-// layer, before peer fetch and before local evaluation — so a spill hit
-// is promoted back into memory by the normal fill insert and pushed to
-// no peer. Keys are namespaced with one layer byte so the three memory
-// layers can never alias each other on disk.
+// one background writer drains it into the store. Reads belong to the
+// tiers (tier.go): a tier's fill consults the store after memory, before
+// peer fetch and evaluation, so a spill hit is promoted back into memory
+// by the normal fill insert and pushed to no peer. Keys are namespaced
+// with one layer byte so the three memory layers can never alias each
+// other on disk.
 const (
 	spillLayerCanonical byte = 'c' // canonical measure cache keys
 	spillLayerRaw       byte = 'r' // raw-query front keys (incl. compare/speedup prefixes)
@@ -72,32 +72,27 @@ type SpillOptions struct {
 	WriteThrough bool
 }
 
-// EnableSpill attaches store as the evict-to-disk tier under every
-// response-cache layer. Call before serving traffic; pair with
-// CloseSpill on shutdown (after the HTTP server has drained). The
+// EnableSpillOptions attaches store as the evict-to-disk tier under every
+// response-cache layer, with write-through durability when opts asks for
+// it (heterod's -spill-write-through). Call before serving traffic; pair
+// with CloseSpill on shutdown (after the HTTP server has drained). The
 // server takes ownership: CloseSpill closes the store.
-func (s *Server) EnableSpill(store *spill.Store) {
-	s.EnableSpillOptions(store, SpillOptions{})
-}
-
-// EnableSpillOptions is EnableSpill with explicit options (write-through
-// durability mode for heterod's -spill-write-through flag).
 func (s *Server) EnableSpillOptions(store *spill.Store, opts SpillOptions) {
-	t := &spillTier{
+	sp := &spillTier{
 		store:        store,
 		queue:        make(chan spillItem, spillQueueEntries),
 		done:         make(chan struct{}),
 		writeThrough: opts.WriteThrough,
 	}
-	go t.writeLoop()
-	s.spill = t
-	s.cache.setEvictSink(func(key string, body []byte) { t.offer(spillLayerCanonical, key, body) })
-	s.rawCache.setEvictSink(func(key string, body []byte) { t.offer(spillLayerRaw, key, body) })
-	s.batchRawCache.setEvictSink(func(key string, body []byte) { t.offer(spillLayerBatch, key, body) })
-	if opts.WriteThrough {
-		s.cache.setInsertSink(func(key string, body []byte) { t.offer(spillLayerCanonical, key, body) })
-		s.rawCache.setInsertSink(func(key string, body []byte) { t.offer(spillLayerRaw, key, body) })
-		s.batchRawCache.setInsertSink(func(key string, body []byte) { t.offer(spillLayerBatch, key, body) })
+	go sp.writeLoop()
+	s.spill = sp
+	for _, t := range s.tiers() {
+		layer := t.layer
+		offer := func(key string, body []byte) { sp.offer(layer, key, body) }
+		t.mem.setEvictSink(offer)
+		if opts.WriteThrough {
+			t.mem.setInsertSink(offer)
+		}
 	}
 }
 
@@ -143,9 +138,9 @@ func (s *Server) flushResident(t *spillTier) {
 			return true
 		}
 	}
-	s.cache.forEachEntry(snapshot(spillLayerCanonical))
-	s.rawCache.forEachEntry(snapshot(spillLayerRaw))
-	s.batchRawCache.forEachEntry(snapshot(spillLayerBatch))
+	for _, tr := range s.tiers() {
+		tr.mem.forEachEntry(snapshot(tr.layer))
+	}
 	for _, it := range pending {
 		if t.store.Put(spillKey(it.layer, it.key), it.body) {
 			t.flushed.Add(1)
@@ -198,57 +193,15 @@ func spillKey(layer byte, key string) string {
 }
 
 // spillBatchKey builds the batch-layer store key straight from the raw
-// body bytes in a single allocation — the only O(body) allocation on the
-// streamed spill-hit path (the peak-memory bound benchserve certifies).
+// body bytes in a single allocation. It is the only O(body) key a batch
+// request builds: the body-front's memory key is the same string without
+// its layer byte.
 func spillBatchKey(body []byte) string {
 	var b strings.Builder
 	b.Grow(1 + len(body))
 	b.WriteByte(spillLayerBatch)
 	b.Write(body)
 	return b.String()
-}
-
-// spillGet consults the disk tier for a memory-layer key. Callers sit
-// inside a singleflight fill closure, so a hit is promoted back into
-// the memory tier by the insert that follows the closure's return.
-func (s *Server) spillGet(layer byte, key string) ([]byte, bool) {
-	t := s.spill
-	if t == nil {
-		return nil, false
-	}
-	return t.store.Get(spillKey(layer, key))
-}
-
-// spillOpenStream pins a CRC-verified streaming handle for a batch-layer
-// key so the streamed render path can serve the body fragment-by-
-// fragment in O(chunk) memory. nil when spill is off or the key misses.
-func (s *Server) spillOpenStream(key string) (*spill.Entry, bool) {
-	return s.spillOpenStreamKey(spillKey(spillLayerBatch, key))
-}
-
-// spillOpenStreamKey is spillOpenStream for a pre-built store key
-// (spillBatchKey), sparing the hit path a second O(body) copy.
-func (s *Server) spillOpenStreamKey(storeKey string) (*spill.Entry, bool) {
-	t := s.spill
-	if t == nil {
-		return nil, false
-	}
-	return t.store.OpenVerified(storeKey)
-}
-
-// spillBegin starts a streamed tee of a batch response into the spill
-// tier; nil when spill is off (callers must tolerate nil).
-func (s *Server) spillBegin(key string) *spill.Appender {
-	return s.spillBeginKey(spillKey(spillLayerBatch, key))
-}
-
-// spillBeginKey is spillBegin for a pre-built store key (spillBatchKey).
-func (s *Server) spillBeginKey(storeKey string) *spill.Appender {
-	t := s.spill
-	if t == nil {
-		return nil
-	}
-	return t.store.Begin(storeKey)
 }
 
 // SpillStats is the /v1/statz view of the on-disk spill tier.

@@ -103,7 +103,7 @@ func TestSpillWriteThroughRestartRoundtrip(t *testing.T) {
 		}
 		want[i] = body
 	}
-	if s1.cache.counters().evicted != 0 {
+	if s1.canon.mem.counters().evicted != 0 {
 		t.Fatal("working set evicted; this test must exercise write-through, not evict-to-disk")
 	}
 	batchReq := bigBatchBody(t, 7, 450)

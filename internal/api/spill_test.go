@@ -30,7 +30,7 @@ func newSpillServer(t *testing.T, maxBytes int64) (*Server, string) {
 	s := NewServerWithCache(CacheConfig{
 		Entries: 256, MaxBytes: maxBytes, Shards: 1, Coalesce: true,
 	})
-	s.EnableSpill(st)
+	s.EnableSpillOptions(st, SpillOptions{})
 	t.Cleanup(s.CloseSpill)
 	return s, dir
 }
@@ -73,9 +73,9 @@ func TestSpillMeasureEvictRoundtrip(t *testing.T) {
 	// (the queue is far larger than this working set, so no drops).
 	waitSpill(t, "evict writes to drain", func() bool {
 		ss := s.spillStats()
-		return ss.Writes >= s.cache.counters().evicted && ss.DroppedWrites == 0
+		return ss.Writes >= s.canon.mem.counters().evicted && ss.DroppedWrites == 0
 	})
-	if ev := s.cache.counters().evicted; ev == 0 {
+	if ev := s.canon.mem.counters().evicted; ev == 0 {
 		t.Fatal("working set did not overflow the memory cache")
 	}
 
@@ -334,4 +334,9 @@ func TestPeerPutBodyCap(t *testing.T) {
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("under-cap frame: status %d, want 400 (no cluster tier)", w.Code)
 	}
+}
+
+// spillGet reads a memory layer's entry straight from the spill store.
+func (s *Server) spillGet(layer byte, key string) ([]byte, bool) {
+	return s.spill.store.Get(spillKey(layer, key))
 }
